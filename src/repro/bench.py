@@ -18,10 +18,9 @@ tables) under a ``kernel_bench`` key:
 validates the schema of an existing results file and exits.
 
 ``--engine fabric-large`` selects the *fabric fast-path* suite instead:
-large-ring (N=16/32) scaling runs timed twice -- once with the plain
+large-ring (N=16/32) saturated runs timed twice -- once with the plain
 step loop, once with the fast path (allocation cache + steady-state
-fast-forward for deterministic traffic, cache + time-sliced sharding
-for stochastic traffic).  Results land under a separate
+fast-forward).  Results land under a separate
 ``fabric_large`` key; every scenario records ``stats_match`` (the fast
 path must be bit-identical to the step loop).  With ``--check`` the
 suite still runs, then fails the process if any scenario mismatches or
@@ -131,80 +130,45 @@ def run_bench(
 #: Schema tag for the ``fabric_large`` results section.
 FABRIC_LARGE_SCHEMA = "repro-fabric-large-bench/1"
 
-#: Scenario budgets.  Each scenario is timed as (plain step loop) vs
-#: (fast path); ``optimized`` names which fast-path layers the scenario
-#: exercises.  Deterministic traffic gets cache + fast-forward;
-#: stochastic traffic gets cache + sharding only (fast-forward
-#: auto-disables on aperiodic sources).
+#: Scenario budgets.  Each saturated-permutation scenario is timed as
+#: (plain step loop) vs (fast path); ``optimized`` names the fast-path
+#: layers the scenario exercises.
 FABRIC_LARGE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
     "full": [
         {"name": "saturated_n16", "ports": 16, "quanta": 20_000, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 8},
-         "optimized": "cache+fast_forward"},
-        {"name": "uniform_n16", "ports": 16, "quanta": 12_000, "warmup": 200,
-         "source": {"kind": "uniform_counter", "words": 256, "seed": 42,
-                    "exclude_self": True},
-         "optimized": "cache+sharded", "shards": 8},
+         "words": 256, "shift": 8, "optimized": "cache+fast_forward"},
         {"name": "saturated_n32", "ports": 32, "quanta": 8_000, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 16},
-         "optimized": "cache+fast_forward"},
-        {"name": "imix_onoff_n16", "ports": 16, "quanta": 12_000,
-         "warmup": 200,
-         "source": {"kind": "traffic", "spec": "imix_onoff", "seed": 7},
-         "optimized": "cache+sharded", "shards": 8},
+         "words": 256, "shift": 16, "optimized": "cache+fast_forward"},
     ],
     "quick": [
         {"name": "saturated_n16", "ports": 16, "quanta": 2_500, "warmup": 100,
-         "source": {"kind": "permutation", "words": 256, "shift": 8},
-         "optimized": "cache+fast_forward"},
-        {"name": "uniform_n16", "ports": 16, "quanta": 1_500, "warmup": 100,
-         "source": {"kind": "uniform_counter", "words": 256, "seed": 42,
-                    "exclude_self": True},
-         "optimized": "cache+sharded", "shards": 4},
-        {"name": "imix_onoff_n16", "ports": 16, "quanta": 1_500, "warmup": 100,
-         "source": {"kind": "traffic", "spec": "imix_onoff", "seed": 7},
-         "optimized": "cache+sharded", "shards": 4},
+         "words": 256, "shift": 8, "optimized": "cache+fast_forward"},
     ],
 }
 
 
 def _bench_fabric_large_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
     """Time one scenario both ways; the fast path must be bit-identical."""
-    from repro.parallel.fabric_shard import (
-        ShardSpec, build_sim, make_source, run_serial, run_sharded,
-    )
+    from repro.core.allocator import Allocator
+    from repro.core.fabricsim import FabricSimulator, saturated_permutation
+    from repro.core.ring import RingGeometry
 
-    spec = ShardSpec(
-        ports=sc["ports"],
-        source=ShardSpec.pack_source(sc["source"]),
-        quanta=sc["quanta"],
-        warmup_quanta=sc["warmup"],
-        shards=sc.get("shards", 1),
-    )
-    t0 = time.perf_counter()
-    baseline = run_serial(spec, cached=False)
-    baseline_wall = time.perf_counter() - t0
-
-    extra: Dict[str, Any]
-    if sc["optimized"] == "cache+fast_forward":
-        sim = build_sim(spec, cached=True)
-        sim.fast_forward = True
-        t0 = time.perf_counter()
-        fast = sim.run(
-            make_source(spec), quanta=spec.quanta,
-            warmup_quanta=spec.warmup_quanta,
+    def timed_run(cache_size: int, fast_forward: bool):
+        ring = RingGeometry(sc["ports"])
+        sim = FabricSimulator(
+            ring=ring,
+            allocator=Allocator(ring, cache_size=cache_size),
+            fast_forward=fast_forward,
         )
-        fast_wall = time.perf_counter() - t0
-        extra = {
-            "ff_quanta": sim.ff_quanta,
-            "cache": sim.allocator.cache_info(),
-        }
-    else:
+        source = saturated_permutation(sc["words"], shift=sc["shift"],
+                                       n=sc["ports"])
         t0 = time.perf_counter()
-        fast, info = run_sharded(spec)
-        fast_wall = time.perf_counter() - t0
-        extra = {"shards": info.shards, "workers": info.workers,
-                 "pilot_quanta": info.pilot_quanta}
+        stats = sim.run(source, quanta=sc["quanta"], warmup_quanta=sc["warmup"])
+        return sim, stats, time.perf_counter() - t0
+
+    _, baseline, baseline_wall = timed_run(cache_size=0, fast_forward=False)
+    sim, fast, fast_wall = timed_run(cache_size=4096, fast_forward=True)
+    extra = {"ff_quanta": sim.ff_quanta, "cache": sim.allocator.cache_info()}
     return {
         "scenario": sc["name"],
         "ports": sc["ports"],

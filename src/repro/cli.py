@@ -412,27 +412,27 @@ def main(argv=None) -> int:
     replay = sub.add_parser(
         "replay",
         help="replay a recorded flow trace (.csv/.jsonl) through the "
-        "fabric -- serial, sharded, and (4-port traces) word-level",
+        "fabric -- straight and resumed from a midpoint snapshot -- and "
+        "(4-port traces) word level",
     )
     replay.add_argument("trace", help="flow-record trace: .csv or .jsonl")
     replay.add_argument("--quanta", type=int, default=600, help="fabric budget")
     replay.add_argument(
         "--cycles", type=int, default=24_000, help="word-level cycle budget"
     )
-    replay.add_argument("--shards", type=int, default=4, help="time slices")
     replay.add_argument("--seed", type=int, default=0)
     replay.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless serial reruns and the sharded run "
-        "produce identical stats",
+        help="exit nonzero unless serial reruns and the run resumed from "
+        "a midpoint snapshot produce identical stats",
     )
     replay.add_argument(
         "--stats-out",
         default=None,
         metavar="STATS.json",
         help="write the replay stats document "
-        "(schema repro-replay-stats/1)",
+        "(schema repro-replay-stats/2)",
     )
     sweep = sub.add_parser(
         "sweep", help="fan a config grid across multiprocessing workers"

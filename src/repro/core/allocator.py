@@ -246,8 +246,8 @@ class CompiledAllocator:
     once per geometry, so evaluating a quantum touches no
     ``Path``/``Link`` construction at all.  :meth:`allocate` builds the
     same :class:`Allocation` the plain rule builds (equality-tested
-    property-style); :meth:`grants` is the stripped form the sharding
-    pilot uses when only the queue evolution matters.
+    property-style); :meth:`batch_grants` evaluates it over many worlds
+    at once.
     """
 
     def __init__(self, ring: RingGeometry, networks: int = 1):
@@ -318,33 +318,6 @@ class CompiledAllocator:
             used_links.add(in_link)
             alloc.grants[src] = grant
         return alloc
-
-    def grants(self, requests: Sequence[Request], token: int) -> Tuple[Tuple[int, int, int], ...]:
-        """The granted (src, dst, hops) triples, skipping the Allocation.
-
-        Exactly the grants (and grant order is token order, like the
-        plain rule's insertion order) of :meth:`allocate` -- the pilot
-        stepper needs only which queues pop and the expansion numbers.
-        """
-        n = self.ring.n
-        table = self.table
-        used_mask = 0
-        claimed = 0
-        out = []
-        for offset in range(n):
-            src = (token + offset) % n
-            dst = requests[src]
-            if dst is None:
-                continue
-            for mask, hops, _path, _grant, _links in table[src][dst]:
-                if claimed >> dst & 1:
-                    break
-                if not mask & used_mask:
-                    claimed |= 1 << dst
-                    used_mask |= mask
-                    out.append((src, dst, hops))
-                    break
-        return tuple(out)
 
     # ------------------------------------------------------------------
     # Batch path: the many-worlds engine's vectorized allocation.
@@ -440,7 +413,7 @@ class CompiledAllocator:
         return self._batch
 
     def batch_grants(self, dests, token: int):
-        """:meth:`grants` over a whole batch of worlds at once.
+        """The allocation rule over a whole batch of worlds at once.
 
         ``dests`` is an integer array of shape ``[W, n]``: world ``w``'s
         input ``i`` requests output ``dests[w, i]``, with ``-1`` for "no
@@ -450,9 +423,9 @@ class CompiledAllocator:
         Returns ``(granted, hops)``, both ``[W, n]``: ``granted[w, i]``
         is True when input ``i`` transmits this quantum in world ``w``,
         and ``hops[w, i]`` is the granted path's ring expansion (0 where
-        not granted).  Row ``w`` equals :meth:`grants` on that world's
-        request tuple -- the bit-identity contract the many-worlds
-        engine's world-0 check rests on.
+        not granted).  Row ``w`` equals the grants of :meth:`allocate`
+        on that world's request tuple -- the bit-identity contract the
+        many-worlds engine's world-0 check rests on.
         """
         import numpy as np
 

@@ -24,8 +24,9 @@ bit-identical to the plain step loop and each independently toggleable:
   stochastic source, or a ``min_packets`` stopping rule are active;
 * **snapshot/restore** (:meth:`FabricSimulator.snapshot` /
   :meth:`~FabricSimulator.restore`) -- the RNG-free simulator state
-  (queues, clock, token) as a picklable value, enabling
-  :mod:`repro.parallel.fabric_shard`'s time-sliced sharding.
+  (queues, clock, token) as a picklable value: a run resumed from a
+  snapshot plus its source's ``state()`` finishes bit-identical to the
+  straight run (``repro replay --check`` verifies this).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class _HolFragment:
     #: Journey key shared by every fragment of the packet; ``None`` when
     #: telemetry is off or the fragment was restored from a snapshot
     #: (journeys do not survive snapshot/restore -- a documented
-    #: limitation of time-sliced sharding).
+    #: limitation of resuming a run).
     tag: Optional[int] = None
 
 
@@ -239,7 +240,7 @@ class FabricStats:
         n = sum(self.grant_histogram)
         return total / n if n else 0.0
 
-    # -- fast-forward / sharding support --------------------------------
+    # -- fast-forward / resume support ----------------------------------
     _COUNTER_FIELDS = (
         "quanta", "idle_quanta", "cycles", "delivered_words",
         "delivered_packets", "blocked_events",
@@ -368,8 +369,8 @@ class FabricSimulator:
         """The complete continuation state at a quantum boundary.
 
         Queues, clock, and token -- everything the step loop reads
-        (stochastic *source* state is the caller's to pair with this;
-        see :mod:`repro.parallel.fabric_shard`).  Fault state is
+        (stochastic *source* state is the caller's to pair with this,
+        via the source's ``state()``/``restore()``).  Fault state is
         deliberately excluded, so an armed plan only permits snapshot
         once it is *quiescent* -- every event consumed, every window
         expired, recovery done, no dead ports, and no corrupt fragments
@@ -717,8 +718,8 @@ class CounterUniformSource:
     Unlike :func:`saturated_uniform` (which consumes a shared sequential
     RNG), the only mutable state is one draw counter per port, so a run
     can be snapshot at any quantum boundary and resumed bit-identically
-    in another process -- the property :mod:`repro.parallel.fabric_shard`
-    needs from a stochastic workload.  Not marked ``deterministic``:
+    in another process -- the property snapshot/resume needs from a
+    stochastic workload.  Not marked ``deterministic``:
     the destination stream is aperiodic, so fast-forward never applies.
     """
 
@@ -749,7 +750,7 @@ class CounterUniformSource:
         self._draws[port] = k
         return (dest, self.words)
 
-    # -- shard protocol -------------------------------------------------
+    # -- snapshot protocol ----------------------------------------------
     def state(self) -> Tuple[int, ...]:
         return tuple(self._draws)
 
@@ -762,7 +763,7 @@ class CounterUniformSource:
 
 def saturated_uniform_counter(words: int, seed: int, n: int = 4,
                               exclude_self: bool = True) -> CounterUniformSource:
-    """The shardable stochastic workload (see :class:`CounterUniformSource`)."""
+    """The resumable stochastic workload (see :class:`CounterUniformSource`)."""
     return CounterUniformSource(words, seed, n=n, exclude_self=exclude_self)
 
 

@@ -152,8 +152,7 @@ class SpaceTopology:
     # -- partitioning ---------------------------------------------------
     def partition(self, parts: int) -> List[List[int]]:
         """Contiguous, balanced node blocks (first blocks get the
-        remainder, mirroring :mod:`repro.parallel.fabric_shard`'s slice
-        sizing).  ``parts`` is clamped to ``num_nodes``."""
+        remainder).  ``parts`` is clamped to ``num_nodes``."""
         parts = max(1, min(parts, self.num_nodes))
         base, rem = divmod(self.num_nodes, parts)
         blocks: List[List[int]] = []

@@ -92,6 +92,22 @@ class WorkloadSpec:
             # The upper bound depends on the engine's port count, which
             # is unknown here; traffic.build range-checks it at build time.
             raise ValueError(f"hot_port must be >= 0, got {self.hot_port}")
+        # Budgets: an unrunnable one must fail here, not return a silent
+        # zero-throughput result from an engine.
+        if self.quanta < 1:
+            raise ValueError(f"quanta must be >= 1, got {self.quanta}")
+        if self.warmup_quanta is not None and self.warmup_quanta < 0:
+            raise ValueError(
+                f"warmup_quanta must be >= 0, got {self.warmup_quanta}"
+            )
+        if self.packets is not None and self.packets < 1:
+            raise ValueError(f"packets must be >= 1, got {self.packets}")
+        if self.cycles < 1:
+            raise ValueError(f"cycles must be >= 1, got {self.cycles}")
+        if self.warmup_cycles < 0:
+            raise ValueError(
+                f"warmup_cycles must be >= 0, got {self.warmup_cycles}"
+            )
 
     def replace(self, **changes: Any) -> "WorkloadSpec":
         return dataclasses.replace(self, **changes)

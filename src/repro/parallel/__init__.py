@@ -1,17 +1,9 @@
-"""Within-run parallelism: split one simulation's timeline across
-processes (:mod:`~repro.parallel.fabric_shard`, time axis), or the
-topology itself across token-window worker processes
-(:mod:`~repro.parallel.space_shard`, space axis) -- unlike
-:mod:`repro.sweep`, which only parallelizes *across* independent
-cells."""
+"""Within-run parallelism: split one simulation's topology across
+token-window worker processes (:mod:`~repro.parallel.space_shard`) --
+unlike :mod:`repro.sweep`, which only parallelizes *across* independent
+cells.  :mod:`~repro.parallel.manyworlds` advances many independent
+seeds of one cell as numpy lanes in a single process."""
 
-from repro.parallel.fabric_shard import (  # noqa: F401
-    ShardedRunInfo,
-    ShardSpec,
-    merge_stats,
-    run_serial,
-    run_sharded,
-)
 from repro.parallel.space_shard import (  # noqa: F401
     SpaceRunInfo,
     SpaceSpec,
@@ -31,11 +23,6 @@ from repro.parallel.transport import (  # noqa: F401
 )
 
 __all__ = [
-    "ShardSpec",
-    "ShardedRunInfo",
-    "merge_stats",
-    "run_serial",
-    "run_sharded",
     "SpaceSpec",
     "SpaceRunInfo",
     "SpaceWorkerPool",

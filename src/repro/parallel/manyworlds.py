@@ -314,7 +314,7 @@ class VecSpecModel:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized CounterUniformSource (the shard-protocol uniform workload).
+# Vectorized CounterUniformSource (the resumable uniform workload).
 # ---------------------------------------------------------------------------
 def _crc32_table() -> np.ndarray:
     table = np.zeros(256, dtype=np.uint32)

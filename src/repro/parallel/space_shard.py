@@ -1,7 +1,6 @@
 """Space-partitioned distributed fabric: token-window worker processes.
 
-:mod:`repro.parallel.fabric_shard` shards one fabric timeline in *time*;
-this module shards the topology in *space*.  A
+This module shards one fabric run's topology in *space*.  A
 :class:`~repro.core.spacetopo.SpaceTopology` (a Clos of k-port Rotating
 Crossbar chips) is cut into ``P`` partitions of whole chips; each worker
 process owns one partition and advances it locally for ``L`` quanta
@@ -87,8 +86,10 @@ class SpaceSpec:
     ``k`` is the chip port count; a ``"clos"`` geometry yields ``k * k``
     external ports on ``3k`` chips.  ``latency`` is the uniform
     inter-chip channel latency in quanta and therefore the token window.
-    ``source`` uses the same declarative forms as
-    :class:`~repro.parallel.fabric_shard.ShardSpec`, always instantiated
+    ``source`` is a declarative workload: ``{"kind": "permutation",
+    "words": W, "shift": k}``, ``{"kind": "uniform_counter", "words": W,
+    "seed": s, "exclude_self": bool}``, or ``{"kind": "traffic", ...}``
+    from :func:`repro.traffic.build.shard_source` -- always instantiated
     counter-based so per-port draws are partition-independent.
     """
 

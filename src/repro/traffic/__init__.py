@@ -12,8 +12,9 @@ replay -- all behind one declarative, schema-tagged
 baseline constructs its sources through.
 
 Stochastic draws are counter-based (:mod:`repro.traffic.rng`), so every
-source composes with :mod:`repro.parallel.fabric_shard`'s time-sliced
-sharding: the mutable state is a handful of integers per port.
+source snapshots and resumes bit-identically -- the state is a handful
+of integers per port -- and partitions across the space engine's
+workers (:mod:`repro.parallel.space_shard`).
 """
 
 from repro.traffic.arrivals import (

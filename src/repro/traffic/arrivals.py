@@ -3,11 +3,11 @@
 All stochastic processes here draw counter-based randomness
 (:mod:`repro.traffic.rng`): the only mutable state is a few integers
 per port, so workloads built on them snapshot/restore bit-identically
-across process boundaries -- the contract
-:mod:`repro.parallel.fabric_shard` requires.  (The historical
-:class:`Bernoulli` consumed a shared ``np.random.Generator``, which was
-silently incompatible with sharding: a resumed slice could not replay
-the generator's interleaved draw stream.)
+across process boundaries -- the contract snapshot/resume and the
+space engine require.  (The historical :class:`Bernoulli` consumed a
+shared ``np.random.Generator``, which was silently incompatible with
+resuming: a resumed run could not replay the generator's interleaved
+draw stream.)
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class Bernoulli(ArrivalProcess):
     Under the quantum-per-poll fabric driver this approximates a
     Bernoulli-per-slot arrival process, the standard load model in the
     crossbar-scheduling literature (iSLIP, HOL analyses).  Draws are
-    counter-based per port, so Bernoulli workloads shard bit-identically
-    (``state()``/``restore()`` are the shard protocol).
+    counter-based per port, so Bernoulli workloads resume bit-identically
+    (``state()``/``restore()`` are the snapshot protocol).
     """
 
     def __init__(self, p: float, seed=0, ports: int = 64):
@@ -72,7 +72,7 @@ class Bernoulli(ArrivalProcess):
     def load(self) -> float:
         return self.p
 
-    # -- shard protocol -------------------------------------------------
+    # -- snapshot protocol ----------------------------------------------
     def state(self) -> Tuple[int, ...]:
         return tuple(self._draws)
 
@@ -89,7 +89,7 @@ class OnOff(ArrivalProcess):
     means ``mean_on`` / ``mean_off``, or Pareto(``alpha``) when
     ``heavy=True`` -- the long-range-dependent trains of measured
     internet traffic, which stress buffering far beyond iid loads.
-    Counter-based and per-port independent, so it shards.
+    Counter-based and per-port independent, so it resumes exactly.
     """
 
     def __init__(
@@ -150,7 +150,7 @@ class OnOff(ArrivalProcess):
     def load(self) -> float:
         return self.p * self.mean_on / (self.mean_on + self.mean_off)
 
-    # -- shard protocol -------------------------------------------------
+    # -- snapshot protocol ----------------------------------------------
     def state(self) -> Tuple:
         return tuple(self._draws), tuple(self._on), tuple(self._left)
 

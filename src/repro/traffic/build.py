@@ -9,9 +9,10 @@ bit-identical through this factory (the compat guarantee
 on-off/MMPP, bursty, hotspot drift, Bernoulli) builds the unified
 counter-based :class:`~repro.traffic.model.SpecModel` /
 :class:`~repro.traffic.replay.TraceReplay` and wraps it in the
-engine-specific adapter.  Counter-based draws are what make the new
-sources shard (`{"kind": "traffic", ...}` in
-:class:`~repro.parallel.fabric_shard.ShardSpec`).
+engine-specific adapter.  Counter-based draws are what let the new
+sources snapshot/resume and partition across space-engine workers
+(`{"kind": "traffic", ...}` in
+:class:`~repro.parallel.space_shard.SpaceSpec`).
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def _model(spec: TrafficSpec, ports: int, seed: int,
 # ---------------------------------------------------------------------------
 class FabricModelSource:
     """Adapt a TrafficModel to the fabric PortSource protocol
-    (destination + word count per poll; shard state passes through)."""
+    (destination + word count per poll; ``state()``/``restore()`` pass
+    through)."""
 
     def __init__(self, model: TrafficModel, costs: CostModel):
         self.model = model
@@ -93,8 +95,9 @@ def fabric_source(spec: TrafficLike, config: SimConfig,
     """A fabric PortSource for ``spec`` under ``config``.
 
     ``force_counter`` builds the counter-based model even for legacy
-    workloads -- the shard path needs ``state()``/``restore()``, which
-    the historical shared-RNG sources cannot provide.
+    workloads -- snapshot/resume and the space engine need
+    ``state()``/``restore()`` and per-port draws, which the historical
+    shared-RNG sources cannot provide.
     """
     import numpy as np
 
@@ -127,8 +130,8 @@ def fabric_source(spec: TrafficLike, config: SimConfig,
 
 
 def shard_source(spec: TrafficLike, seed: int = 0) -> dict:
-    """The ``ShardSpec.source`` dict for a traffic spec (counter-based,
-    so the shard protocol's state/restore applies to every kind)."""
+    """The ``SpaceSpec.source`` dict for a traffic spec (counter-based,
+    so state/restore and per-port draws apply to every kind)."""
     resolved = resolve_traffic(spec)
     if resolved is None:
         raise ValueError("shard_source needs a traffic spec")
@@ -137,7 +140,8 @@ def shard_source(spec: TrafficLike, seed: int = 0) -> dict:
 
 def fabric_source_for_shard(source_dict: dict, ports: int,
                             costs: CostModel) -> FabricModelSource:
-    """Build the worker-side source from a ShardSpec ``traffic`` entry."""
+    """Build the source for a ``{"kind": "traffic", ...}`` source dict
+    (see :func:`shard_source`)."""
     if "json" in source_dict:
         spec = TrafficSpec.from_dict(json.loads(source_dict["json"]))
     elif "spec" in source_dict:

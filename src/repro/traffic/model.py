@@ -5,8 +5,8 @@ A *traffic model* is the one shape every engine consumes:
 ``next_packet(port) -> Optional[(dest, size_bytes)]``
     None means "no arrival at this poll" (engines idle the port).
 ``state() -> picklable`` / ``restore(state)``
-    Snapshot/resume the model bit-identically at any poll boundary --
-    the :mod:`repro.parallel.fabric_shard` shard protocol.
+    Snapshot/resume the model bit-identically at any poll boundary
+    (paired with :meth:`~repro.core.fabricsim.FabricSimulator.snapshot`).
 ``deterministic: bool``
     True only when the destination stream is a pure function of the
     port (licenses the fabric's steady-state fast-forward).
@@ -14,7 +14,7 @@ A *traffic model* is the one shape every engine consumes:
 :class:`SpecModel` realizes a synthetic
 :class:`~repro.traffic.spec.TrafficSpec` with counter-based draws
 (:mod:`repro.traffic.rng`): the only mutable state is a few integers
-per port, so the model shards and pickles trivially.  Trace replay is
+per port, so the model resumes and pickles trivially.  Trace replay is
 :class:`repro.traffic.replay.TraceReplay`, which implements the same
 protocol.
 """

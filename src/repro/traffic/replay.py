@@ -15,7 +15,7 @@ A trace is a sequence of *flow records* -- ``(src, dst, bytes, count)``:
 :class:`~repro.traffic.model.TrafficModel` protocol by streaming the
 file: records are read lazily as ports consume them and buffered
 per-port, so a multi-gigabyte trace costs O(buffered records) memory,
-not O(file).  The shard state is just the per-port consumed-packet
+not O(file).  The resume state is just the per-port consumed-packet
 counts -- the stream position and buffers are a pure function of those
 counts (records are read in file order, each pulled only when some
 port's buffer runs dry), so :meth:`TraceReplay.restore` replays
@@ -23,9 +23,9 @@ consumption from the top of the file and lands on the identical state
 regardless of which process resumes the run.
 
 ``python -m repro replay TRACE --check`` is the CI smoke: the bundled
-trace through the fabric engine (twice, for determinism; serial vs
-sharded, for the shard protocol) and the word-level engine, writing a
-stats artifact.
+trace through the fabric engine (twice, for determinism; once more
+resumed from a midpoint snapshot, for the snapshot/resume protocol) and
+the word-level engine, writing a stats artifact.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
-REPLAY_STATS_SCHEMA = "repro-replay-stats/1"
+REPLAY_STATS_SCHEMA = "repro-replay-stats/2"
 
 #: A parsed flow record: (src port, dst port, packet bytes, packet count).
 FlowRecord = Tuple[int, int, int, int]
@@ -80,7 +80,7 @@ def iter_flows(path: str) -> Iterator[FlowRecord]:
 
 
 class TraceReplay:
-    """Replay a recorded trace as a shardable TrafficModel.
+    """Replay a recorded trace as a resumable TrafficModel.
 
     ``loop`` wraps to the top of the file at EOF -- required by
     saturated-only engines (word level); without it an exhausted trace
@@ -97,7 +97,7 @@ class TraceReplay:
         self.path = path
         self.n = n
         self.loop = loop
-        self._consumed = [0] * n  #: packets taken per port (the shard state)
+        self._consumed = [0] * n  #: packets taken per port (the resume state)
         self._buffers: List[Deque[Tuple[int, int, int]]] = [deque() for _ in range(n)]
         self._stream: Optional[Iterator[FlowRecord]] = None
 
@@ -253,46 +253,66 @@ def run_replay(
     trace: str,
     quanta: int = 600,
     cycles: int = 24_000,
-    shards: int = 4,
     seed: int = 0,
     check: bool = False,
 ) -> Tuple[Dict[str, Any], List[str]]:
-    """Run ``trace`` through fabric (serial + sharded) and word level.
+    """Run ``trace`` through fabric (straight + resumed) and word level.
 
     Returns ``(stats document, problems)``; with ``check`` the caller
-    exits nonzero on problems.  The fabric run goes through the shard
-    machinery (the serial step loop is the reference; the sharded run
-    must match bit-for-bit), the word-level run through the engine
-    layer with the trace looped (that model is saturated-only).
+    exits nonzero on problems.  The fabric step loop runs the trace
+    straight through twice (determinism), then once more to the
+    midpoint ``quanta // 2``, where the simulator and source state are
+    snapshot and restored into a fresh simulator and source that finish
+    the run -- its counters must equal the straight run's bit-for-bit.
+    The word-level run goes through the engine layer with the trace
+    looped (that model is saturated-only).
     """
     from repro.config import SimConfig
+    from repro.core.allocator import Allocator
+    from repro.core.fabricsim import FabricSimulator
+    from repro.core.ring import RingGeometry
     from repro.engines import WordLevelEngine, WorkloadSpec
-    from repro.parallel.fabric_shard import ShardSpec, run_serial, run_sharded
+    from repro.traffic.build import fabric_source
     from repro.traffic.spec import TrafficSpec
 
     info = scan_trace(trace)
     ports = max(info["ports"], 2)
-    spec_json = TrafficSpec(kind="replay", trace=trace).to_json()
-    shard_spec = ShardSpec(
-        ports=ports,
-        source=ShardSpec.pack_source(
-            {"kind": "traffic", "json": spec_json, "seed": seed}
-        ),
-        quanta=quanta,
-        warmup_quanta=0,
-        shards=shards,
+    config = SimConfig(ports=ports, seed=seed)
+    spec = TrafficSpec(kind="replay", trace=trace)
+
+    def fresh():
+        ring = RingGeometry(ports)
+        sim = FabricSimulator(
+            ring=ring, allocator=Allocator(ring, cache_size=4096)
+        )
+        return sim, fabric_source(spec, config)
+
+    def straight():
+        sim, source = fresh()
+        return sim.run(source, quanta=quanta, warmup_quanta=0)
+
+    serial = straight()
+    serial2 = straight()
+    # Resume identity: snapshot at the midpoint, finish in fresh objects.
+    midpoint = quanta // 2
+    sim, source = fresh()
+    resumed = sim.run(source, quanta=midpoint, warmup_quanta=0)
+    snap, source_state = sim.snapshot(), source.state()
+    sim, source = fresh()
+    sim.restore(snap)
+    source.restore(source_state)
+    resumed.add_counters(
+        sim.run(source, quanta=quanta - midpoint, warmup_quanta=0)
     )
-    serial = run_serial(shard_spec)
-    serial2 = run_serial(shard_spec)
-    sharded, shard_info = run_sharded(shard_spec)
+    resume_match = serial.counters() == resumed.counters()
 
     problems: List[str] = []
     if serial.counters() != serial2.counters():
         problems.append("fabric determinism: two same-trace runs differ")
-    if serial.counters() != sharded.counters():
+    if not resume_match:
         problems.append(
-            f"shard identity: sharded stats differ from serial "
-            f"({shard_info.shards} shards)"
+            f"resume identity: the run resumed from a snapshot at quantum "
+            f"{midpoint} differs from the straight run"
         )
     if serial.delivered_packets < 1:
         problems.append("fabric run delivered no packets from the trace")
@@ -303,11 +323,11 @@ def run_replay(
         "scan": info,
         "fabric": {
             "quanta": quanta,
-            "shards": shard_info.shards,
+            "resume_quantum": midpoint,
             "delivered_packets": serial.delivered_packets,
             "delivered_words": serial.delivered_words,
             "gbps": serial.gbps,
-            "sharded_match": serial.counters() == sharded.counters(),
+            "resume_match": resume_match,
         },
     }
 
@@ -346,7 +366,6 @@ def main(args) -> int:
         args.trace,
         quanta=args.quanta,
         cycles=args.cycles,
-        shards=args.shards,
         seed=args.seed,
         check=args.check,
     )
@@ -358,8 +377,8 @@ def main(args) -> int:
     fab = doc["fabric"]
     print(
         f"fabric: {fab['delivered_packets']} pkts in {fab['quanta']} quanta, "
-        f"{fab['gbps']:.3f} Gbps, sharded({fab['shards']}) "
-        f"{'== serial' if fab['sharded_match'] else 'MISMATCH'}"
+        f"{fab['gbps']:.3f} Gbps, resumed@{fab['resume_quantum']} "
+        f"{'== straight' if fab['resume_match'] else 'MISMATCH'}"
     )
     if doc.get("wordlevel"):
         wl = doc["wordlevel"]
@@ -377,5 +396,5 @@ def main(args) -> int:
     if args.check:
         if problems:
             return 1
-        print("replay check ok: deterministic, sharded == serial")
+        print("replay check ok: deterministic, resumed == straight")
     return 0

@@ -49,10 +49,25 @@ class TestProtocol:
         assert isinstance(make_engine(SimConfig(fidelity="router")), RouterEngine)
 
     def test_workload_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadSpec(pattern="tornado")
-        with pytest.raises(ValueError):
-            WorkloadSpec(packet_bytes=8)
+        bad = (
+            {"pattern": "tornado"},
+            {"packet_bytes": 8},
+            # Unrunnable budgets: rejected up front, never a silent
+            # zero-throughput run.
+            {"quanta": 0},
+            {"quanta": -5},
+            {"warmup_quanta": -1},
+            {"packets": 0},
+            {"packets": -1},
+            {"cycles": 0},
+            {"warmup_cycles": -10},
+        )
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                WorkloadSpec(**kwargs)
+        # The smallest runnable budgets stay legal.
+        WorkloadSpec(quanta=1, warmup_quanta=0, packets=1, cycles=1,
+                     warmup_cycles=0)
 
     def test_specs_pickle(self):
         workload = WorkloadSpec(pattern="hotspot", p_hot=0.9)

@@ -1,17 +1,19 @@
 """Fabric fast path: allocation cache, compiled tables, steady-state
-fast-forward, snapshot/restore, and time-sliced sharding.
+fast-forward, and snapshot/resume identity.
 
 The contract under test everywhere: every fast-path layer is
 *bit-identical* to the plain step loop -- same Allocation objects, same
 FabricStats fields, same clock and token state.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SimConfig
+from repro.config import CostModel, SimConfig
 from repro.core.allocator import Allocator, CompiledAllocator
 from repro.core.fabricsim import (
     CounterUniformSource,
@@ -25,8 +27,14 @@ from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
 from repro.engines import WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
-from repro.parallel import ShardSpec, merge_stats, run_serial, run_sharded
 from repro.telemetry import runtime
+from repro.traffic.build import fabric_source_for_shard, shard_source
+from repro.traffic.spec import PRESETS, spec_from_legacy
+
+EXAMPLE_TRACE = str(
+    pathlib.Path(__file__).resolve().parent.parent
+    / "examples" / "traces" / "imix_1k.csv"
+)
 
 
 @st.composite
@@ -51,6 +59,40 @@ def assert_stats_identical(a: FabricStats, b: FabricStats) -> None:
     assert a.mpps == b.mpps
 
 
+def _traffic_source(spec, seed: int, ports: int = 4):
+    """The counter-based source the space engine builds for ``spec``."""
+    return fabric_source_for_shard(
+        shard_source(spec, seed=seed), ports=ports, costs=CostModel.default()
+    )
+
+
+#: Snapshot/resume workloads: id -> (ports, quanta N, snapshot quantum k,
+#: source factory).  Every TrafficSpec preset, the example trace, and a
+#: legacy-trio spec forced onto the counter model (the space path's
+#: build) ride along with the two hand-rolled fabric sources.
+RESUME_CASES = {
+    "permutation": (
+        8, 400, 100, lambda: saturated_permutation(256, shift=3, n=8)
+    ),
+    "uniform_counter": (
+        16, 331, 17, lambda: saturated_uniform_counter(256, 42, n=16)
+    ),
+    **{
+        f"preset_{name}": (
+            4, 320, 137, lambda name=name: _traffic_source(name, seed=11)
+        )
+        for name in PRESETS
+    },
+    "trace_csv": (4, 300, 150, lambda: _traffic_source(EXAMPLE_TRACE, seed=0)),
+    "legacy_uniform": (
+        4, 320, 160,
+        lambda: _traffic_source(
+            spec_from_legacy(pattern="uniform", packet_bytes=512), seed=2
+        ),
+    ),
+}
+
+
 class TestAllocationCache:
     @given(alloc_cases())
     @settings(max_examples=200, deadline=None)
@@ -72,12 +114,16 @@ class TestAllocationCache:
     def test_compiled_grants_match_allocation(self, case):
         n, networks, requests, token = case
         ring = RingGeometry(n)
-        comp = CompiledAllocator(ring, networks)
-        alloc = Allocator(ring, networks=networks).allocate(requests, token)
-        expected = tuple(
-            (g.src, g.dst, g.expansion) for g in alloc.grants.values()
-        )
-        assert comp.grants(requests, token) == expected
+        comp = CompiledAllocator(ring, networks).allocate(requests, token)
+        plain = Allocator(ring, networks=networks).allocate(requests, token)
+
+        def triples(alloc):
+            return tuple(
+                (g.src, g.dst, g.expansion) for g in alloc.grants.values()
+            )
+
+        assert comp == plain
+        assert triples(comp) == triples(plain)  # grant order too
 
     def test_lru_eviction_bound(self):
         ring = RingGeometry(4)
@@ -259,78 +305,27 @@ class TestSnapshotRestore:
         assert [replay(p) for p in (0, 1, 2)] == more
         assert draws[0] != (0, 64)  # exclude_self held
 
+    @pytest.mark.parametrize("case", sorted(RESUME_CASES))
+    def test_resume_matches_straight_run(self, case):
+        """N quanta straight == k quanta, then the simulator snapshot and
+        the source state restored into fresh objects for N - k more
+        quanta: identical counters and clock."""
+        ports, quanta, split, make_source = RESUME_CASES[case]
+        straight_sim = FabricSimulator(ring=RingGeometry(ports))
+        straight = straight_sim.run(make_source(), quanta=quanta)
+        assert straight.delivered_packets > 0
 
-class TestSharding:
-    def test_permutation_sharded_equals_serial(self):
-        spec = ShardSpec(
-            ports=8,
-            source=ShardSpec.pack_source(
-                {"kind": "permutation", "words": 256, "shift": 3}
-            ),
-            quanta=400, warmup_quanta=50, shards=4,
-        )
-        serial = run_serial(spec)
-        merged, info = run_sharded(spec)
-        assert_stats_identical(serial, merged)
-        assert info.slice_lengths == [100, 100, 100, 100]
-
-    def test_stochastic_sharded_equals_serial_with_odd_slicing(self):
-        spec = ShardSpec(
-            ports=16,
-            source=ShardSpec.pack_source(
-                {"kind": "uniform_counter", "words": 256, "seed": 42,
-                 "exclude_self": True}
-            ),
-            quanta=331, warmup_quanta=17, shards=5,
-        )
-        serial = run_serial(spec)
-        merged, info = run_sharded(spec)
-        assert_stats_identical(serial, merged)
-        assert sum(info.slice_lengths) == 331
-
-    def test_merge_is_associative(self):
-        spec = ShardSpec(
-            ports=4,
-            source=ShardSpec.pack_source(
-                {"kind": "uniform_counter", "words": 64, "seed": 3,
-                 "exclude_self": True}
-            ),
-            quanta=120, warmup_quanta=0, shards=3,
-        )
-        merged, _ = run_sharded(spec)
-        # Re-run the slices serially to get the parts, then regroup.
-        from repro.parallel.fabric_shard import (
-            _pilot_checkpoints, _run_slice, build_sim, make_source,
-        )
-
-        checkpoints = _pilot_checkpoints(
-            build_sim(spec), make_source(spec), [0, 40, 80]
-        )
-        parts = [
-            _run_slice((spec, *checkpoints[b], 40)) for b in (0, 40, 80)
-        ]
-        left = merge_stats([merge_stats(parts[:2]), parts[2]])
-        right = merge_stats([parts[0], merge_stats(parts[1:])])
-        flat = merge_stats(parts)
-        assert left.counters() == right.counters() == flat.counters()
-        assert flat.counters() == merged.counters()
-
-    def test_telemetry_merges_worker_states(self):
-        # Sharded runs under telemetry record per-slice and fold the
-        # states back in; stats stay bit-identical to the serial run.
-        spec = ShardSpec(quanta=40, warmup_quanta=0, shards=2)
-        ref = run_serial(spec)
-        with runtime.capture() as tel:
-            merged, info = run_sharded(spec, workers=1)
-        assert merged.counters() == ref.counters()
-        assert tel.journeys.completed > 0
-        assert sorted(tel.workers) == [0, 1]
-        assert all(m["slice"] == w for w, m in tel.workers.items())
-
-    def test_unknown_source_kind(self):
-        spec = ShardSpec(source=ShardSpec.pack_source({"kind": "nope"}))
-        with pytest.raises(ValueError):
-            run_serial(spec)
+        first, source = FabricSimulator(ring=RingGeometry(ports)), make_source()
+        stats = first.run(source, quanta=split)
+        snap = first.snapshot()
+        state = source.state() if hasattr(source, "state") else None
+        resumed = FabricSimulator(ring=RingGeometry(ports)).restore(snap)
+        resumed_source = make_source()
+        if state is not None:
+            resumed_source.restore(state)
+        stats.add_counters(resumed.run(resumed_source, quanta=quanta - split))
+        assert_stats_identical(straight, stats)
+        assert resumed.clock == straight_sim.clock
 
 
 class TestSourceGuards:

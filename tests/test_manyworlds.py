@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
-from repro.core.allocator import CompiledAllocator
+from repro.core.allocator import Allocator, CompiledAllocator
 from repro.core.fabricsim import CounterUniformSource
 from repro.core.ring import RingGeometry
 from repro.engines import RunResult, WorkloadSpec
@@ -120,12 +120,14 @@ def test_networks2_unpacked_table_world0_identity():
 )
 @settings(max_examples=40, deadline=None)
 def test_batch_grants_matches_scalar_grants(geometry, token, data):
-    """batch_grants over random request vectors == grants() per world,
-    covering both the hop-packed (bits <= 55) and unpacked (64-bit)
-    table layouts."""
+    """batch_grants over random request vectors == the plain allocation
+    rule's grants per world, covering both the hop-packed (bits <= 55)
+    and unpacked (64-bit) table layouts."""
     n, networks = geometry
     token %= n
-    compiled = CompiledAllocator(RingGeometry(n), networks=networks)
+    ring = RingGeometry(n)
+    compiled = CompiledAllocator(ring, networks=networks)
+    plain = Allocator(ring, networks=networks)
     dests = np.array(
         [
             data.draw(
@@ -141,13 +143,16 @@ def test_batch_grants_matches_scalar_grants(geometry, token, data):
     granted, hops = compiled.batch_grants(dests, token)
     for w in range(dests.shape[0]):
         requests = [None if d < 0 else int(d) for d in dests[w]]
-        ref = compiled.grants(requests, token)
+        ref = {
+            (g.src, g.dst, g.expansion)
+            for g in plain.allocate(requests, token).grants.values()
+        }
         got = {
             (src, requests[src], int(hops[w, src]))
             for src in range(n)
             if granted[w, src]
         }
-        assert got == set(ref)
+        assert got == ref
 
 
 def test_batch_grants_rejects_bad_inputs():

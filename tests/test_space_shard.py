@@ -262,7 +262,7 @@ class TestWindowProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Merge associativity (shared contract with fabric_shard's merge).
+# Merge associativity of per-partition stats.
 # ---------------------------------------------------------------------------
 class TestMergeAssociativity:
     def _partition_payloads(self, spec: SpaceSpec):
@@ -331,9 +331,8 @@ class TestMergeAssociativity:
             assert_stats_identical(ref, merged)
 
     def test_merge_is_grouping_invariant(self):
-        # ((p0+p1), p2) == (p0, (p1+p2)) == flat -- true associativity,
-        # the same contract fabric_shard's merge_stats holds for time
-        # slices, here over space partitions.
+        # ((p0+p1), p2) == (p0, (p1+p2)) == flat -- true associativity
+        # over space partitions.
         spec = spec_for(4, 3, "permutation")
         topo, parts = self._partition_payloads(spec)
         flat = merge_part_stats(parts, topo.num_ports, spec.costs)

@@ -1,13 +1,12 @@
-"""Trace replay and the shard protocol for every new traffic source:
-replay determinism, TraceReplay state/restore, and serial-vs-sharded
-bit-identity through the fabric shard machinery."""
+"""Trace replay: trace files, TraceReplay state/restore, replay through
+every engine, and the ``repro replay --check`` smoke (determinism plus
+snapshot/resume identity)."""
 
 import json
 
 import pytest
 
-from repro.parallel.fabric_shard import ShardSpec, run_serial, run_sharded
-from repro.traffic.build import shard_source
+from repro.traffic.build import FabricModelSource
 from repro.traffic.replay import (
     TraceReplay,
     generate_trace,
@@ -15,7 +14,7 @@ from repro.traffic.replay import (
     run_replay,
     scan_trace,
 )
-from repro.traffic.spec import PRESETS, TrafficSpec
+from repro.traffic.spec import TrafficSpec
 
 
 @pytest.fixture()
@@ -131,79 +130,39 @@ class TestTraceReplayModel:
         assert [(p, b.next_packet(p)) for p in (0, 1, 2, 3) * 8] == seq
 
 
-def _shard_spec(source, ports=4, quanta=320, shards=4):
-    return ShardSpec(
-        ports=ports,
-        source=ShardSpec.pack_source(source),
-        quanta=quanta,
-        warmup_quanta=40,
-        shards=shards,
-    )
-
-
-class TestShardIdentity:
-    """run_sharded must be bit-identical to run_serial for every new
-    counter-based source kind."""
-
-    PRESET_NAMES = ["imix", "imix_onoff", "imix_heavy", "bursty",
-                    "hotspot_drift", "bernoulli"]
-
-    @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_presets_shard_identically(self, name):
-        spec = _shard_spec(shard_source(PRESETS[name], seed=11))
-        serial = run_serial(spec)
-        sharded, info = run_sharded(spec, workers=1)
-        assert info.shards == 4
-        assert serial.counters() == sharded.counters()
-        assert serial.delivered_packets > 0
-
-    def test_legacy_spec_shards_via_forced_counter_model(self):
-        # The legacy trio cannot shard through its historical np-rng
-        # sources; the "traffic" shard kind forces the counter-based
-        # model, which must be self-consistent serial-vs-sharded.
-        from repro.traffic.spec import spec_from_legacy
-
-        legacy = spec_from_legacy(pattern="uniform", packet_bytes=512)
-        spec = _shard_spec(shard_source(legacy, seed=2))
-        serial = run_serial(spec)
-        sharded, _ = run_sharded(spec, workers=1)
-        assert serial.counters() == sharded.counters()
-        assert serial.delivered_packets > 0
-
-    def test_replay_shards_identically(self, trace_csv):
-        source = {
-            "kind": "traffic",
-            "json": TrafficSpec(kind="replay", trace=trace_csv).to_json(),
-            "seed": 0,
-        }
-        spec = _shard_spec(source, quanta=200, shards=5)
-        serial = run_serial(spec)
-        sharded, _ = run_sharded(spec, workers=1)
-        assert serial.counters() == sharded.counters()
-        assert serial.delivered_packets > 0
-
-    def test_unknown_source_kind_still_rejected(self):
-        spec = _shard_spec({"kind": "zipf"})
-        with pytest.raises(ValueError, match="unknown shardable source"):
-            run_serial(spec)
-
-
 class TestRunReplaySmoke:
     def test_run_replay_checks_pass(self, trace_csv):
         doc, problems = run_replay(trace_csv, quanta=120, cycles=8_000,
-                                   shards=3, check=True)
+                                   check=True)
         assert problems == []
-        assert doc["schema"] == "repro-replay-stats/1"
-        assert doc["fabric"]["sharded_match"] is True
+        assert doc["schema"] == "repro-replay-stats/2"
+        assert doc["fabric"]["resume_quantum"] == 60
+        assert doc["fabric"]["resume_match"] is True
         assert doc["fabric"]["delivered_packets"] > 0
         assert doc["wordlevel"]["delivered_packets"] > 0
         # The document is JSON-serializable as-is (the CI artifact).
         json.dumps(doc)
 
     def test_run_replay_is_deterministic(self, trace_csv):
-        doc1, _ = run_replay(trace_csv, quanta=100, cycles=6_000, shards=2)
-        doc2, _ = run_replay(trace_csv, quanta=100, cycles=6_000, shards=2)
+        doc1, _ = run_replay(trace_csv, quanta=100, cycles=6_000)
+        doc2, _ = run_replay(trace_csv, quanta=100, cycles=6_000)
         assert doc1 == doc2
+
+    def test_check_fails_when_restored_source_is_one_draw_off(
+        self, trace_csv, monkeypatch
+    ):
+        restore = FabricModelSource.restore
+
+        def restore_one_draw_late(self, state):
+            restore(self, state)
+            self.model.next_packet(0)  # consume one extra draw on port 0
+            return self
+
+        monkeypatch.setattr(FabricModelSource, "restore", restore_one_draw_late)
+        doc, problems = run_replay(trace_csv, quanta=120, cycles=8_000,
+                                   check=True)
+        assert doc["fabric"]["resume_match"] is False
+        assert any(p.startswith("resume identity") for p in problems)
 
 
 class TestEngineReplay:
