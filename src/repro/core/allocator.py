@@ -21,18 +21,25 @@ checked property-style in the tests.
 Fast path (thesis section 6 at runtime)
 ---------------------------------------
 The thesis's chapter-6 trick is collapsing the 5^4 x 4 configuration
-space into ~32 reusable switch programs computed once, offline.  The
-runtime mirror here has two tiers, both behind :meth:`Allocator.enable_cache`:
+space into ~32 reusable switch programs computed once, offline, and
+shared by every tile with the same role.  The runtime mirror here:
 
 * the **compiled tables** (:class:`CompiledAllocator`) precompute, per
   (src, dst), the candidate paths' link sets as integer bitmasks plus
   shared frozen :class:`Grant` objects, so evaluating the rule never
-  rebuilds :class:`~repro.core.ring.Path`/``Link`` objects;
-* an **LRU cache** on ``allocate(requests, token)`` keyed by the exact
-  ``(requests, token)`` tuple, with hit/miss counters, for workloads
-  whose request state recurs (every deterministic saturated pattern).
+  rebuilds :class:`~repro.core.ring.Path`/``Link`` objects.  The tables
+  are immutable, so :func:`shared_compiled` builds one per ``(n,
+  networks)`` per process and every allocator, space chip and
+  many-worlds batch of that geometry reuses it;
+* :meth:`CompiledAllocator.grant_hops`, the lean evaluation the space
+  chips step on: only ``(src, hops)`` per grant and a blocked count, no
+  :class:`Allocation` object;
+* an **LRU cache** on ``Allocator.allocate(requests, token)`` (behind
+  :meth:`Allocator.enable_cache`) keyed by the exact ``(requests,
+  token)`` tuple, with hit/miss counters, for fabric workloads whose
+  request state recurs (every deterministic saturated pattern).
 
-Both tiers are bit-identical to the uncached rule (property-tested in
+All of it is bit-identical to the uncached rule (property-tested in
 ``tests/test_fabric_fastpath.py``): cached :class:`Allocation` objects
 are shared and must be treated as read-only by callers.
 """
@@ -170,9 +177,10 @@ class Allocator:
         }
 
     def compiled(self) -> "CompiledAllocator":
-        """The precomputed-table evaluator (built once, then shared)."""
+        """The precomputed-table evaluator: the process-wide table for
+        this geometry (see :func:`shared_compiled`)."""
         if self._compiled is None:
-            self._compiled = CompiledAllocator(self.ring, self.networks)
+            self._compiled = shared_compiled(self.ring.n, self.networks)
         return self._compiled
 
     def allocate(self, requests: Sequence[Request], token: int) -> Allocation:
@@ -244,10 +252,13 @@ class CompiledAllocator:
     their link sets (as integer bitmasks over the ring's directed
     segments), and the frozen :class:`Grant` objects are all computed
     once per geometry, so evaluating a quantum touches no
-    ``Path``/``Link`` construction at all.  :meth:`allocate` builds the
-    same :class:`Allocation` the plain rule builds (equality-tested
-    property-style); :meth:`batch_grants` evaluates it over many worlds
-    at once.
+    ``Path``/``Link`` construction at all.  Every table is a tuple, so
+    one instance is safely shared process-wide
+    (:func:`shared_compiled`).  :meth:`allocate` builds the same
+    :class:`Allocation` the plain rule builds (equality-tested
+    property-style); :meth:`grant_hops` evaluates the same rule down to
+    ``(src, hops)`` pairs for the space chips; :meth:`batch_grants`
+    evaluates it over many worlds at once.
     """
 
     def __init__(self, ring: RingGeometry, networks: int = 1):
@@ -256,12 +267,10 @@ class CompiledAllocator:
         self.ring = ring
         self.networks = networks
         self._tensors = None  #: lazily built by :meth:`lookup_tensors`
+        self._batch = None  #: lazily built by :meth:`_batch_tables`
         n = ring.n
-        #: [src][dst] -> tuple of (link_mask, hops, Path, Grant, links);
-        #: candidates in the exact preference order of the plain rule.
-        self.table: List[List[Tuple[Tuple[int, int, Path, Grant, Tuple[Link, ...]], ...]]] = []
-        #: [src][dst] -> (Link("out", dst), Link("in", src)) shared pair.
-        self.io_links: List[List[Tuple[Link, Link]]] = []
+        table = []
+        io_links = []
         for src in range(n):
             row = []
             io_row = []
@@ -279,8 +288,18 @@ class CompiledAllocator:
                     )
                 row.append(tuple(entries))
                 io_row.append((Link("out", dst), Link("in", src)))
-            self.table.append(row)
-            self.io_links.append(io_row)
+            table.append(tuple(row))
+            io_links.append(tuple(io_row))
+        #: [src][dst] -> tuple of (link_mask, hops, Path, Grant, links);
+        #: candidates in the exact preference order of the plain rule.
+        self.table = tuple(table)
+        #: [src][dst] -> (Link("out", dst), Link("in", src)) shared pair.
+        self.io_links = tuple(io_links)
+        #: [token] -> input ports in token-visit order.
+        self.visit_order = tuple(
+            tuple((token + offset) % n for offset in range(n))
+            for token in range(n)
+        )
 
     def allocate(self, requests: Sequence[Request], token: int) -> Allocation:
         """Bit-identical :class:`Allocation` via the compiled tables."""
@@ -318,6 +337,47 @@ class CompiledAllocator:
             used_links.add(in_link)
             alloc.grants[src] = grant
         return alloc
+
+    def grant_hops(
+        self, requests: Sequence[Request], token: int
+    ) -> Tuple[List[Tuple[int, int]], int]:
+        """The rule without an :class:`Allocation`: ``([(src, hops),
+        ...], blocked count)``.
+
+        Grants come in token-visit order -- the order
+        ``Allocation.grants`` iterates in, which downstream FIFO order
+        depends on -- and ``hops`` is the granted path's expansion.
+        Makes the same argument checks as :meth:`allocate`.
+        """
+        n = self.ring.n
+        if len(requests) != n:
+            raise ValueError(f"expected {n} requests, got {len(requests)}")
+        if not 0 <= token < n:
+            raise ValueError(f"token {token} out of range")
+        table = self.table
+        grants: List[Tuple[int, int]] = []
+        blocked = 0
+        used = 0  # bitmask of claimed ring links
+        claimed = 0  # bitmask of claimed outputs
+        for src in self.visit_order[token]:
+            dst = requests[src]
+            if dst is None:
+                continue
+            if not 0 <= dst < n:
+                raise ValueError(f"request {dst} out of range at input {src}")
+            if claimed >> dst & 1:
+                blocked += 1
+                continue
+            for entry in table[src][dst]:
+                if not entry[0] & used:
+                    break
+            else:
+                blocked += 1
+                continue
+            claimed |= 1 << dst
+            used |= entry[0]
+            grants.append((src, entry[1]))
+        return grants, blocked
 
     # ------------------------------------------------------------------
     # Batch path: the many-worlds engine's vectorized allocation.
@@ -362,6 +422,8 @@ class CompiledAllocator:
                         mask_t[s, d, c] = mask
                         hops_t[s, d, c] = hops
                         valid_t[s, d, c] = True
+            for t in (mask_t, hops_t, valid_t):
+                t.flags.writeable = False  # shared by every caller
             self._tensors = (mask_t, hops_t, valid_t)
         return self._tensors
 
@@ -383,7 +445,7 @@ class CompiledAllocator:
         padding is still safe because every (src, dst) pair has at least
         one real candidate ordered before its padding (enforced here).
         """
-        if getattr(self, "_batch", None) is None:
+        if self._batch is None:
             import numpy as np
 
             mask_t, hops_t, valid_t = self.lookup_tensors()
@@ -403,13 +465,12 @@ class CompiledAllocator:
                     hops_t.astype(np.uint64).reshape(n * n, -1)
                     << np.uint64(56)
                 )
-                self._batch = (
-                    maskp, None, bit_table, sentinel,
-                    np.uint64((1 << 56) - 1),
-                )
+                hopsp, link_mask = None, np.uint64((1 << 56) - 1)
             else:
-                hopsp = hops_t.reshape(n * n, -1)
-                self._batch = (maskp, hopsp, bit_table, sentinel, all_ones)
+                hopsp, link_mask = hops_t.reshape(n * n, -1), all_ones
+            maskp.flags.writeable = False
+            bit_table.flags.writeable = False
+            self._batch = (maskp, hopsp, bit_table, sentinel, link_mask)
         return self._batch
 
     def batch_grants(self, dests, token: int):
@@ -486,3 +547,21 @@ class CompiledAllocator:
                 hsel = sel >> hop_shift
             hops[:, src] = np.where(g, hsel, 0)
         return granted, hops
+
+
+#: (n, networks) -> the process-wide compiled table.
+_SHARED: Dict[Tuple[int, int], CompiledAllocator] = {}
+
+
+def shared_compiled(n: int, networks: int = 1) -> CompiledAllocator:
+    """The process-wide compiled table for an ``n``-port ring.
+
+    Built on first use, then shared by every caller with the same
+    ``(n, networks)`` -- the runtime form of every tile with the same
+    role reusing the same minimized switch programs (thesis Table 6.1).
+    """
+    key = (n, networks)
+    table = _SHARED.get(key)
+    if table is None:
+        table = _SHARED[key] = CompiledAllocator(RingGeometry(n), networks)
+    return table

@@ -6,8 +6,9 @@ Clos fabric, but its step loop reads remote state inside a quantum
 it can only run in one process.  This module rebuilds the composition as
 an explicitly *distributable* graph:
 
-* a :class:`ChipNode` is one k-port Rotating Crossbar (allocator, token,
-  per-input-leg FIFOs) making **local-only** decisions;
+* a :class:`ChipNode` is one k-port Rotating Crossbar (token and
+  per-input-leg FIFOs, stepping on the allocation table every chip of
+  its size shares) making **local-only** decisions;
 * a :class:`Channel` is a directed point-to-point link between chip legs
   with a fixed ``latency`` measured in routing quanta -- a fragment sent
   at quantum ``t`` becomes visible to the receiving chip at ``t +
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import CostModel
-from repro.core.allocator import Allocator
+from repro.core.allocator import Allocator, shared_compiled
 from repro.core.phases import DEFAULT_TIMING, PhaseTiming, idle_quantum_cycles
 from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
@@ -342,21 +343,40 @@ def link_fault_windows(
     return windows
 
 
+def plain_grant_hops(k: int):
+    """The plain allocation rule in :meth:`CompiledAllocator.grant_hops
+    <repro.core.allocator.CompiledAllocator.grant_hops>` form: the
+    uncached oracle the compiled chip path is checked against."""
+    allocate = Allocator(RingGeometry(k)).allocate
+
+    def grant_hops(requests, token):
+        alloc = allocate(requests, token)
+        grants = [(src, g.expansion) for src, g in alloc.grants.items()]
+        return grants, len(alloc.blocked)
+
+    return grant_hops
+
+
 class ChipNode:
     """One k-port Rotating Crossbar chip with per-input-leg FIFOs.
 
     Queue entries are ``(frag, out_leg)`` -- the forwarding decision is
     made once at enqueue time, exactly like
-    :class:`repro.core.compose._Crossbar`.
+    :class:`repro.core.compose._Crossbar`.  Every chip of size ``k``
+    evaluates the allocation rule on the one process-wide compiled
+    table (:func:`~repro.core.allocator.shared_compiled`) through its
+    lean ``grant_hops`` path; ``cached=False`` swaps in the plain rule
+    (:func:`plain_grant_hops`), the bit-identity oracle.
     """
 
-    __slots__ = ("nid", "k", "allocator", "token", "queues")
+    __slots__ = ("nid", "k", "grant_hops", "token", "queues")
 
-    def __init__(self, nid: int, k: int, cache_size: int = 0):
+    def __init__(self, nid: int, k: int, cached: bool = True):
         self.nid = nid
         self.k = k
-        ring = RingGeometry(k)
-        self.allocator = Allocator(ring, cache_size=cache_size)
+        self.grant_hops = (
+            shared_compiled(k).grant_hops if cached else plain_grant_hops(k)
+        )
         self.token = RotatingToken(k)
         self.queues: List[Deque[Tuple[SpaceFrag, int]]] = [
             deque() for _ in range(k)
@@ -365,24 +385,23 @@ class ChipNode:
     def step(self) -> Tuple[List[Tuple[int, SpaceFrag]], int, int]:
         """One quantum: ([(out leg, frag)], body cycles, blocked count)."""
         queues = self.queues
-        requests = tuple(
-            queues[leg][0][1] if queues[leg] else None
-            for leg in range(self.k)
-        )
-        if all(r is None for r in requests):
-            self.token.advance()
+        token = self.token
+        if not any(queues):
+            token.advance()
             return [], 0, 0
-        alloc = self.allocator.allocate(requests, self.token.master)
+        grants, blocked = self.grant_hops(
+            [q[0][1] if q else None for q in queues], token.master
+        )
         moved: List[Tuple[int, SpaceFrag]] = []
         body = 0
-        for grant in alloc.grants.values():
-            frag, leg = queues[grant.src].popleft()
-            b = frag[1] + grant.expansion
+        for src, hops in grants:
+            frag, leg = queues[src].popleft()
+            b = frag[1] + hops
             if b > body:
                 body = b
             moved.append((leg, frag))
-        self.token.advance()
-        return moved, body, len(alloc.blocked)
+        token.advance()
+        return moved, body, blocked
 
 
 @dataclass
@@ -418,6 +437,10 @@ class PartitionSim:
     (fragments this partition sent over boundary channels).  A serial
     run is simply a :class:`PartitionSim` owning every node -- no
     boundary traffic exists and the same code path executes.
+
+    Every chip steps on the shared compiled allocation table;
+    ``cached=False`` steps them on the plain rule instead (the oracle
+    the identity tests and the bench's uncached baseline use).
     """
 
     def __init__(
@@ -425,7 +448,7 @@ class PartitionSim:
         topo: SpaceTopology,
         node_ids: Iterable[int],
         costs: CostModel = CostModel.default(),
-        cache_size: int = 0,
+        cached: bool = True,
         max_quantum_words: Optional[int] = None,
         fault_plan=None,
     ):
@@ -447,7 +470,7 @@ class PartitionSim:
         if self.max_quantum_words < 1:
             raise ValueError("max_quantum_words must be >= 1")
         self.nodes: Dict[int, ChipNode] = {
-            nid: ChipNode(nid, topo.k, cache_size=cache_size)
+            nid: ChipNode(nid, topo.k, cached=cached)
             for nid in self.owned
         }
         #: Per-channel arrival FIFO of (arrival quantum, frag) for every

@@ -363,6 +363,12 @@ class SpaceEngine(_BaseEngine):
             raise ValueError(
                 f"space fidelity needs a square port count (k*k), got {ports}"
             )
+        if self.config.networks != 1:
+            raise ValueError(
+                f"space fidelity models one static network per chip, got "
+                f"networks={self.config.networks} (the second-network "
+                "ablation runs on fidelity='fabric')"
+            )
         partitions = self.config.partitions
         if partitions == 0:
             # Adaptive: as many workers as the Clos's middle stage (= k
@@ -384,7 +390,6 @@ class SpaceEngine(_BaseEngine):
             source=SpaceSpec.pack_source(source),
             quanta=workload.quanta,
             warmup_quanta=warmup,
-            cache_size=self.config.alloc_cache,
             fault_plan=resolve_plan(workload.fault_plan),
         )
 

@@ -94,7 +94,7 @@ def run(
         quanta=quanta,
         warmup_quanta=quanta // 10,
     )
-    serial = run_space_serial(spec, cached=True)
+    serial = run_space_serial(spec)
     dist, info = run_space(spec, transport=transport)
     if dist.counters() != serial.counters():
         raise AssertionError(

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.config import SimConfig
-from repro.core.allocator import CompiledAllocator
+from repro.core.allocator import shared_compiled
 from repro.core.fabricsim import FabricStats
 from repro.core.phases import (
     DEFAULT_TIMING,
@@ -495,7 +495,7 @@ class _VecWorlds:
         self.w = n_worlds
         self.seeds = [world_seed(config.seed, w) for w in range(n_worlds)]
         self.model = VecSpecModel(spec, n, self.seeds)
-        self.compiled = CompiledAllocator(RingGeometry(n), config.networks)
+        self.compiled = shared_compiled(n, config.networks)
         self.compiled.lookup_tensors()  # build (and range-check) eagerly
         timing = (
             DEFAULT_TIMING

@@ -101,7 +101,6 @@ class SpaceSpec:
     source: Tuple[Tuple[str, Any], ...] = (("kind", "permutation"), ("words", 256))
     quanta: int = 2000
     warmup_quanta: int = 200
-    cache_size: int = 4096  #: per-chip allocation LRU (0 disables)
     adaptive_window: bool = True  #: coalesce windows over idle boundaries
     max_coalesce: int = 64  #: most windows one adaptive stride may cover
     fault_plan: Optional[FaultPlan] = None  #: intra-partition link faults
@@ -205,7 +204,7 @@ def build_partition(
         topo,
         node_ids,
         costs=spec.costs,
-        cache_size=spec.cache_size if cached else 0,
+        cached=cached,
         fault_plan=spec.fault_plan,
     )
 
@@ -253,10 +252,12 @@ def merge_backend_counters(
     return out
 
 
-def run_space_serial(spec: SpaceSpec, cached: bool = False) -> FabricStats:
+def run_space_serial(spec: SpaceSpec, cached: bool = True) -> FabricStats:
     """The single-process reference: one :class:`PartitionSim` owning
-    every chip, stepped over the whole timeline (``cached=False`` is the
-    unoptimized baseline the bench suite measures against)."""
+    every chip, stepped over the whole timeline on the shared compiled
+    allocation table (``cached=False`` steps on the plain rule instead:
+    the oracle the identity tests and the bench's uncached baseline
+    use)."""
     topo = spec.topology()
     sim = build_partition(spec, topo, range(topo.num_nodes), cached=cached)
     source = make_space_source(spec)
@@ -333,7 +334,7 @@ def _run_partition_rounds(
     tel,
     snap_fn,
 ) -> Tuple:
-    sim = build_partition(spec, topo, blocks[part_id], cached=True)
+    sim = build_partition(spec, topo, blocks[part_id])
     source = make_space_source(spec)
     if tel is not None:
         reg = tel.registry
@@ -656,7 +657,7 @@ def run_space(
     if spec.partitions == 1:
         if tel is not None:
             tel.journeys.share_keys()
-        stats = run_space_serial(spec, cached=True)
+        stats = run_space_serial(spec)
         topo = spec.topology()
         blocks = topo.partition(1)
         info = SpaceRunInfo(

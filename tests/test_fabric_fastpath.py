@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CostModel, SimConfig
-from repro.core.allocator import Allocator, CompiledAllocator
+from repro.core import allocator as allocator_mod
+from repro.core.allocator import Allocator, CompiledAllocator, shared_compiled
 from repro.core.fabricsim import (
     CounterUniformSource,
     FabricSimulator,
@@ -41,6 +42,18 @@ EXAMPLE_TRACE = str(
 def alloc_cases(draw):
     """(n, networks, requests, token) over ring sizes 4/8/16."""
     n = draw(st.sampled_from((4, 8, 16)))
+    networks = draw(st.sampled_from((1, 2)))
+    requests = tuple(
+        draw(st.one_of(st.none(), st.integers(0, n - 1))) for _ in range(n)
+    )
+    token = draw(st.integers(0, n - 1))
+    return n, networks, requests, token
+
+
+@st.composite
+def lean_cases(draw):
+    """(n, networks, requests, token) over odd and even ring sizes."""
+    n = draw(st.sampled_from((2, 3, 4, 5, 8, 16)))
     networks = draw(st.sampled_from((1, 2)))
     requests = tuple(
         draw(st.one_of(st.none(), st.integers(0, n - 1))) for _ in range(n)
@@ -157,6 +170,62 @@ class TestAllocationCache:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(alloc_cache=-1)
+
+
+class TestSharedTable:
+    """One immutable compiled table per geometry, and the lean
+    ``grant_hops`` evaluation the space chips step on."""
+
+    @given(lean_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_grant_hops_matches_plain_rule(self, case):
+        n, networks, requests, token = case
+        ref = Allocator(RingGeometry(n), networks).allocate(requests, token)
+        grants, blocked = shared_compiled(n, networks).grant_hops(
+            requests, token
+        )
+        # Token-visit order, exactly as Allocation.grants iterates.
+        assert grants == [(s, g.expansion) for s, g in ref.grants.items()]
+        assert blocked == len(ref.blocked)
+
+    @pytest.mark.parametrize(
+        "requests,token,match",
+        [
+            ((0, 1, 2), 0, "expected 4 requests"),
+            ((0, 1, 2, 3), 4, "token 4 out of range"),
+            ((None, 1, 4, 3), 0, "request 4 out of range"),
+        ],
+    )
+    def test_grant_hops_checks_arguments(self, requests, token, match):
+        with pytest.raises(ValueError, match=match):
+            shared_compiled(4).grant_hops(requests, token)
+
+    def test_allocators_share_one_table(self):
+        table = Allocator(RingGeometry(16), cache_size=8).compiled()
+        assert table is Allocator(RingGeometry(16), cache_size=8).compiled()
+        assert table is shared_compiled(16, 1)
+        assert shared_compiled(16, 2) is not table
+        assert isinstance(table.table, tuple)
+        assert all(isinstance(row, tuple) for row in table.table)
+
+    def test_n256_space_run_compiles_one_table(self, monkeypatch):
+        compiles = []
+        init = CompiledAllocator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            compiles.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(allocator_mod, "_SHARED", {})
+        monkeypatch.setattr(CompiledAllocator, "__init__", counting_init)
+        res = run_config(
+            SimConfig(fidelity="space", ports=256, partitions=1,
+                      link_latency=4),
+            WorkloadSpec(traffic="imix", quanta=20, warmup_quanta=5),
+        )
+        assert res.delivered_packets > 0
+        # 48 chips, one table.
+        assert len(compiles) == 1
 
 
 class TestFastForward:

@@ -155,6 +155,25 @@ def test_batch_grants_matches_scalar_grants(geometry, token, data):
         assert got == ref
 
 
+def test_worlds_share_one_compiled_table(monkeypatch):
+    from repro.core import allocator as allocator_mod
+
+    compiles = []
+    init = CompiledAllocator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        compiles.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(allocator_mod, "_SHARED", {})
+    monkeypatch.setattr(CompiledAllocator, "__init__", counting_init)
+    config = SimConfig(ports=8, seed=3)
+    workload = WorkloadSpec(pattern="uniform", quanta=40)
+    for _ in range(2):
+        assert run_worlds(config, workload, 3).vectorized
+    assert len(compiles) == 1
+
+
 def test_batch_grants_rejects_bad_inputs():
     compiled = CompiledAllocator(RingGeometry(4))
     with pytest.raises(ValueError):

@@ -145,6 +145,19 @@ class TestBitIdentity:
             run_space_serial(spec, cached=True),
         )
 
+    def test_compiled_chips_match_plain_rule_at_n256(self):
+        # The benchmark's chip size: 48 16-port chips on the shared
+        # compiled table against the plain rule, serial and P=2.
+        spec = spec_for(16, 2, "imix", latency=4, quanta=60, warmup=10)
+        oracle = run_space_serial(spec, cached=False)
+        compiled = run_space_serial(spec)
+        got, info = run_space_inprocess(spec)
+        assert info.partitions == 2
+        assert oracle.delivered_packets > 0
+        # counters() covers every scalar and per-port vector.
+        assert_stats_identical(oracle, compiled)
+        assert_stats_identical(oracle, got)
+
     @settings(max_examples=25, deadline=None)
     @given(
         k=st.sampled_from((2, 3, 4)),
@@ -158,7 +171,7 @@ class TestBitIdentity:
         spec = spec_for(
             k, partitions, source_key, latency=latency, quanta=90, warmup=15
         )
-        ref = run_space_serial(spec)
+        ref = run_space_serial(spec, cached=False)
         got, _ = run_space_inprocess(spec)
         assert_stats_identical(ref, got)
 
@@ -404,6 +417,13 @@ class TestSpaceEngine:
         cfg = SimConfig(ports=8, fidelity="space")
         with pytest.raises(ValueError, match="square"):
             run_config(cfg, WorkloadSpec(quanta=50))
+
+    def test_second_network_rejected(self):
+        # The space chips model one static network; a networks=2 run
+        # must be refused, not silently reported as networks=1.
+        cfg = SimConfig(ports=16, fidelity="space", networks=2)
+        with pytest.raises(ValueError, match="networks=2"):
+            run_config(cfg, WorkloadSpec(pattern="permutation", quanta=50))
 
     def test_fault_plans_rejected(self):
         from repro.faults import FaultEvent, FaultPlan
