@@ -18,9 +18,10 @@ tables) under a ``kernel_bench`` key:
 validates the schema of an existing results file and exits.
 
 ``--engine fabric-large`` selects the *fabric fast-path* suite instead:
-large-ring (N=16/32) saturated runs timed twice -- once with the plain
-step loop, once with the fast path (allocation cache + steady-state
-fast-forward).  Results land under a separate
+large-ring (N=16/32) saturated runs timed twice -- once with the
+compiled step loop (the best serial path: every allocation evaluated
+on the shared compiled table), once with the fast path (allocation
+LRU + steady-state fast-forward).  Results land under a separate
 ``fabric_large`` key; every scenario records ``stats_match`` (the fast
 path must be bit-identical to the step loop).  With ``--check`` the
 suite still runs, then fails the process if any scenario mismatches or
@@ -131,8 +132,8 @@ def run_bench(
 FABRIC_LARGE_SCHEMA = "repro-fabric-large-bench/1"
 
 #: Scenario budgets.  Each saturated-permutation scenario is timed as
-#: (plain step loop) vs (fast path); ``optimized`` names the fast-path
-#: layers the scenario exercises.
+#: (compiled step loop, no LRU) vs (fast path); ``optimized`` names the
+#: fast-path layers the scenario exercises.
 FABRIC_LARGE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
     "full": [
         {"name": "saturated_n16", "ports": 16, "quanta": 20_000, "warmup": 200,
@@ -148,7 +149,10 @@ FABRIC_LARGE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
 
 
 def _bench_fabric_large_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
-    """Time one scenario both ways; the fast path must be bit-identical."""
+    """Time one scenario both ways; the fast path must be bit-identical.
+
+    The baseline is the compiled step loop with no LRU and no
+    fast-forward: the best serial path."""
     from repro.core.allocator import Allocator
     from repro.core.fabricsim import FabricSimulator, saturated_permutation
     from repro.core.ring import RingGeometry

@@ -139,9 +139,11 @@ class SimConfig:
     pipelined: bool = True  #: header/body overlap (sections 5.2/6.5)
     fidelity: str = "fabric"  #: one of :data:`FIDELITIES`
     seed: int = 0
-    #: Fabric fast path (bit-identical; fabric fidelity only): LRU size
-    #: for allocation memoization (0 disables), and steady-state cycle
-    #: detection + fast-forward for deterministic saturated sources.
+    #: Fabric fast path (bit-identical; fabric fidelity only): the size
+    #: of an LRU memo of whole allocations on top of the always-on
+    #: shared compiled table (0 = no LRU; every allocation is still
+    #: evaluated on the table), and steady-state cycle detection +
+    #: fast-forward for deterministic saturated sources.
     alloc_cache: int = 0
     fast_forward: bool = False
     #: Space fidelity only (DESIGN.md §13/§15): worker-process count for
@@ -160,7 +162,7 @@ class SimConfig:
         if self.ports < 2:
             raise ValueError("a router needs at least 2 ports")
         if self.alloc_cache < 0:
-            raise ValueError("alloc_cache must be >= 0 (0 disables)")
+            raise ValueError("alloc_cache must be >= 0 (0 = no LRU)")
         if self.partitions < 0:
             raise ValueError("partitions must be >= 1 (or 0 for adaptive)")
         if self.link_latency < 1:

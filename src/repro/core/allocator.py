@@ -18,30 +18,34 @@ starvation bound of section 5.4; granted paths are link-disjoint by
 construction, which yields deadlock freedom (section 5.5) -- both are
 checked property-style in the tests.
 
-Fast path (thesis section 6 at runtime)
----------------------------------------
+Evaluation (thesis section 6 at runtime)
+----------------------------------------
 The thesis's chapter-6 trick is collapsing the 5^4 x 4 configuration
 space into ~32 reusable switch programs computed once, offline, and
-shared by every tile with the same role.  The runtime mirror here:
+shared by every tile with the same role.  The runtime mirror here: the
+compiled table is always on; the LRU is optional.
 
 * the **compiled tables** (:class:`CompiledAllocator`) precompute, per
   (src, dst), the candidate paths' link sets as integer bitmasks plus
   shared frozen :class:`Grant` objects, so evaluating the rule never
   rebuilds :class:`~repro.core.ring.Path`/``Link`` objects.  The tables
   are immutable, so :func:`shared_compiled` builds one per ``(n,
-  networks)`` per process and every allocator, space chip and
-  many-worlds batch of that geometry reuses it;
+  networks)`` per process and every :class:`Allocator`, space chip and
+  many-worlds batch of that geometry evaluates the rule on it;
 * :meth:`CompiledAllocator.grant_hops`, the lean evaluation the space
   chips step on: only ``(src, hops)`` per grant and a blocked count, no
   :class:`Allocation` object;
-* an **LRU cache** on ``Allocator.allocate(requests, token)`` (behind
-  :meth:`Allocator.enable_cache`) keyed by the exact ``(requests,
-  token)`` tuple, with hit/miss counters, for fabric workloads whose
-  request state recurs (every deterministic saturated pattern).
+* an optional **LRU cache** on ``Allocator.allocate(requests, token)``
+  (behind :meth:`Allocator.enable_cache`, ``SimConfig.alloc_cache``)
+  keyed by the exact ``(requests, token)`` tuple, with hit/miss
+  counters, for fabric workloads whose request state recurs (every
+  deterministic saturated pattern).
 
-All of it is bit-identical to the uncached rule (property-tested in
-``tests/test_fabric_fastpath.py``): cached :class:`Allocation` objects
-are shared and must be treated as read-only by callers.
+:func:`plain_allocation` evaluates the rule directly on ring paths.  No
+runtime path calls it: it is the oracle the compiled table is
+property-tested against (``tests/test_fabric_fastpath.py``).  Cached
+:class:`Allocation` objects are shared and must be treated as
+read-only by callers.
 """
 
 from __future__ import annotations
@@ -143,13 +147,14 @@ class Allocator:
         )
 
     # ------------------------------------------------------------------
-    # Fast path: compiled tables + LRU memoization.
+    # The shared compiled table, and the optional LRU on top of it.
     # ------------------------------------------------------------------
     def enable_cache(self, maxsize: int = 4096) -> "Allocator":
-        """Turn on the allocation fast path; returns self for chaining.
+        """Turn on the LRU memo of whole allocations; returns self for
+        chaining.
 
-        Bit-identical to the uncached rule.  Cached allocations are
-        shared objects: callers must not mutate them."""
+        Bit-identical to evaluating the table every call.  Cached
+        allocations are shared objects: callers must not mutate them."""
         if maxsize < 1:
             raise ValueError("cache maxsize must be >= 1")
         self._cache = OrderedDict()
@@ -188,53 +193,24 @@ class Allocator:
 
         ``requests[i]`` is input ``i``'s head-of-line destination or None.
         Deterministic: every crossbar tile evaluating this with the same
-        inputs produces the identical allocation.
+        inputs produces the identical allocation.  Evaluated on the
+        shared compiled table, memoized by the LRU when one is enabled;
+        equal to :func:`plain_allocation`, grant order included.
         """
         cache = self._cache
-        if cache is not None:
-            key = (tuple(requests), token)
-            hit = cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                cache.move_to_end(key)
-                return hit
-            self.cache_misses += 1
-            alloc = self._compiled.allocate(requests, token)
-            cache[key] = alloc
-            if len(cache) > self._cache_size:
-                cache.popitem(last=False)
-            return alloc
-        n = self.ring.n
-        if len(requests) != n:
-            raise ValueError(f"expected {n} requests, got {len(requests)}")
-        if not 0 <= token < n:
-            raise ValueError(f"token {token} out of range")
-        alloc = Allocation(token=token, requests=tuple(requests))
-        claimed_outputs: Set[int] = set()
-        used: Set[Link] = alloc.used_links
-        for offset in range(n):
-            src = (token + offset) % n
-            dst = requests[src]
-            if dst is None:
-                continue
-            if not 0 <= dst < n:
-                raise ValueError(f"request {dst} out of range at input {src}")
-            if dst in claimed_outputs:
-                alloc.blocked.add(src)
-                continue
-            granted_path = None
-            for path in self.ring.candidate_paths(src, dst, self.networks):
-                if not any(link in used for link in path.links):
-                    granted_path = path
-                    break
-            if granted_path is None:
-                alloc.blocked.add(src)
-                continue
-            claimed_outputs.add(dst)
-            used.update(granted_path.links)
-            used.add(Link("out", dst))
-            used.add(Link("in", src))
-            alloc.grants[src] = Grant(src=src, dst=dst, path=granted_path)
+        if cache is None:
+            return self.compiled().allocate(requests, token)
+        key = (tuple(requests), token)
+        hit = cache.get(key)
+        if hit is not None:
+            self.cache_hits += 1
+            cache.move_to_end(key)
+            return hit
+        self.cache_misses += 1
+        alloc = self._compiled.allocate(requests, token)
+        cache[key] = alloc
+        if len(cache) > self._cache_size:
+            cache.popitem(last=False)
         return alloc
 
     # ------------------------------------------------------------------
@@ -244,6 +220,51 @@ class Allocator:
         alloc = self.allocate(requests, token)
         return requests[token] is None or token in alloc.grants
 
+
+
+def plain_allocation(
+    ring: RingGeometry, networks: int, requests: Sequence[Request], token: int
+) -> Allocation:
+    """The allocation rule evaluated directly on ring paths.
+
+    Builds every candidate :class:`~repro.core.ring.Path` per call, so
+    nothing at runtime uses it: it is the reference the compiled table
+    (and so :meth:`Allocator.allocate`) is checked against.
+    """
+    if networks not in (1, 2):
+        raise ValueError("Raw has one or two static networks")
+    n = ring.n
+    if len(requests) != n:
+        raise ValueError(f"expected {n} requests, got {len(requests)}")
+    if not 0 <= token < n:
+        raise ValueError(f"token {token} out of range")
+    alloc = Allocation(token=token, requests=tuple(requests))
+    claimed_outputs: Set[int] = set()
+    used: Set[Link] = alloc.used_links
+    for offset in range(n):
+        src = (token + offset) % n
+        dst = requests[src]
+        if dst is None:
+            continue
+        if not 0 <= dst < n:
+            raise ValueError(f"request {dst} out of range at input {src}")
+        if dst in claimed_outputs:
+            alloc.blocked.add(src)
+            continue
+        granted_path = None
+        for path in ring.candidate_paths(src, dst, networks):
+            if not any(link in used for link in path.links):
+                granted_path = path
+                break
+        if granted_path is None:
+            alloc.blocked.add(src)
+            continue
+        claimed_outputs.add(dst)
+        used.update(granted_path.links)
+        used.add(Link("out", dst))
+        used.add(Link("in", src))
+        alloc.grants[src] = Grant(src=src, dst=dst, path=granted_path)
+    return alloc
 
 class CompiledAllocator:
     """The allocation rule over precomputed per-(src, dst) tables.
@@ -255,8 +276,8 @@ class CompiledAllocator:
     ``Path``/``Link`` construction at all.  Every table is a tuple, so
     one instance is safely shared process-wide
     (:func:`shared_compiled`).  :meth:`allocate` builds the same
-    :class:`Allocation` the plain rule builds (equality-tested
-    property-style); :meth:`grant_hops` evaluates the same rule down to
+    :class:`Allocation` :func:`plain_allocation` builds
+    (equality-tested property-style); :meth:`grant_hops` evaluates the same rule down to
     ``(src, hops)`` pairs for the space chips; :meth:`batch_grants`
     evaluates it over many worlds at once.
     """
@@ -270,11 +291,10 @@ class CompiledAllocator:
         self._batch = None  #: lazily built by :meth:`_batch_tables`
         n = ring.n
         table = []
-        io_links = []
         for src in range(n):
             row = []
-            io_row = []
             for dst in range(n):
+                io = (Link("out", dst), Link("in", src))
                 entries = []
                 for path in ring.candidate_paths(src, dst, networks):
                     mask = 0
@@ -284,17 +304,16 @@ class CompiledAllocator:
                         mask |= 1 << bit
                     entries.append(
                         (mask, path.hops, path, Grant(src=src, dst=dst, path=path),
-                         path.links)
+                         frozenset(path.links + io))
                     )
                 row.append(tuple(entries))
-                io_row.append((Link("out", dst), Link("in", src)))
             table.append(tuple(row))
-            io_links.append(tuple(io_row))
-        #: [src][dst] -> tuple of (link_mask, hops, Path, Grant, links);
-        #: candidates in the exact preference order of the plain rule.
+        #: [src][dst] -> tuple of (link_mask, hops, Path, Grant, claimed
+        #: links incl. the in/out pair); candidates in the exact
+        #: preference order of the plain rule.  The claimed links are a
+        #: frozenset so merging them into ``Allocation.used_links``
+        #: reuses their stored hashes.
         self.table = tuple(table)
-        #: [src][dst] -> (Link("out", dst), Link("in", src)) shared pair.
-        self.io_links = tuple(io_links)
         #: [token] -> input ports in token-visit order.
         self.visit_order = tuple(
             tuple((token + offset) % n for offset in range(n))
@@ -313,8 +332,7 @@ class CompiledAllocator:
         used_links = alloc.used_links
         used_mask = 0
         claimed = 0  # bitmask of claimed outputs
-        for offset in range(n):
-            src = (token + offset) % n
+        for src in self.visit_order[token]:
             dst = requests[src]
             if dst is None:
                 continue
@@ -331,10 +349,7 @@ class CompiledAllocator:
                 continue
             claimed |= 1 << dst
             used_mask |= mask
-            used_links.update(links)
-            out_link, in_link = self.io_links[src][dst]
-            used_links.add(out_link)
-            used_links.add(in_link)
+            used_links |= links
             alloc.grants[src] = grant
         return alloc
 

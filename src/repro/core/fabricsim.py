@@ -11,11 +11,15 @@ pipelines on top; for saturated inputs both models agree on throughput
 
 Fast path
 ---------
-Three cooperating layers make this engine fast at scale, each
-bit-identical to the plain step loop and each independently toggleable:
+Every quantum's allocation is evaluated on the shared compiled table
+(:func:`~repro.core.allocator.shared_compiled`), always: the step loop
+builds no ring paths.  On top of that, three cooperating layers make
+this engine fast at scale, each bit-identical to the step loop and
+each independently toggleable:
 
-* **allocation memoization** -- hand the simulator a cached
-  :class:`~repro.core.allocator.Allocator` (``enable_cache()``);
+* **allocation memoization** -- hand the simulator an
+  :class:`~repro.core.allocator.Allocator` with an LRU
+  (``enable_cache()``, ``SimConfig.alloc_cache``);
 * **steady-state fast-forward** (``fast_forward=True``) -- for
   deterministic sources the (queue-contents, token) state recurs with a
   short period; once a cycle is detected the per-cycle stats delta is

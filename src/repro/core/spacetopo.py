@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import CostModel
-from repro.core.allocator import Allocator, shared_compiled
+from repro.core.allocator import plain_allocation, shared_compiled
 from repro.core.phases import DEFAULT_TIMING, PhaseTiming, idle_quantum_cycles
 from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
@@ -347,10 +347,10 @@ def plain_grant_hops(k: int):
     """The plain allocation rule in :meth:`CompiledAllocator.grant_hops
     <repro.core.allocator.CompiledAllocator.grant_hops>` form: the
     uncached oracle the compiled chip path is checked against."""
-    allocate = Allocator(RingGeometry(k)).allocate
+    ring = RingGeometry(k)
 
     def grant_hops(requests, token):
-        alloc = allocate(requests, token)
+        alloc = plain_allocation(ring, 1, requests, token)
         grants = [(src, g.expansion) for src, g in alloc.grants.items()]
         return grants, len(alloc.blocked)
 

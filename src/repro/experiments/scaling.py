@@ -41,7 +41,7 @@ def run(
     space_transport: str = "pipe",
 ) -> ExperimentResult:
     """Large rings are affordable here because every run takes the fabric
-    fast path (bit-identical to the plain step loop, so the reported
+    fast path (bit-identical to the step loop, so the reported
     numbers are unchanged): the deterministic permutations fast-forward
     through their steady-state cycle, and the stochastic uniform runs
     reuse allocations through the LRU cache."""

@@ -14,12 +14,22 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.ip.checksum import incremental_update, internet_checksum, verify_checksum
 
 #: IPv4 header without options, in 32-bit words.
 HEADER_WORDS_IPV4 = 5
 HEADER_BYTES_IPV4 = HEADER_WORDS_IPV4 * 4
 MAX_TOTAL_LENGTH = 0xFFFF
+
+#: Word ``i`` of a synthesized payload is ``ident * 2654435761 + i *
+#: 0x9E3779B9`` mod 2**32; this holds the second term for every word
+#: index, so one wrapping ``uint32`` add builds a whole payload.
+_PAYLOAD_STEPS = (
+    np.arange(MAX_TOTAL_LENGTH // 4, dtype=np.uint64) * 0x9E3779B9 & 0xFFFFFFFF
+).astype(np.uint32)
+_PAYLOAD_STEPS.flags.writeable = False
 
 
 class PacketField(IntEnum):
@@ -162,7 +172,8 @@ class IPv4Packet:
         if size_bytes > MAX_TOTAL_LENGTH:
             raise ValueError("packet exceeds IPv4 maximum length")
         n_payload = size_bytes // 4 - HEADER_WORDS_IPV4
-        payload = tuple(((ident * 2654435761) + i * 0x9E3779B9) & 0xFFFFFFFF for i in range(n_payload))
+        base = np.uint32(ident * 2654435761 & 0xFFFFFFFF)
+        payload = tuple((base + _PAYLOAD_STEPS[:n_payload]).tolist())
         pkt = cls(src=src, dst=dst, ttl=ttl, ident=ident & 0xFFFF, payload=payload)
         return pkt.fill_checksum()
 

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from repro.config import CostModel, SimConfig
 from repro.core import allocator as allocator_mod
-from repro.core.allocator import Allocator, CompiledAllocator, shared_compiled
+from repro.core.allocator import (
+    Allocator,
+    CompiledAllocator,
+    plain_allocation,
+    shared_compiled,
+)
 from repro.core.fabricsim import (
     CounterUniformSource,
     FabricSimulator,
@@ -112,9 +117,8 @@ class TestAllocationCache:
     def test_cached_allocator_bit_identical(self, case):
         n, networks, requests, token = case
         ring = RingGeometry(n)
-        plain = Allocator(ring, networks=networks)
         fast = Allocator(ring, networks=networks, cache_size=64)
-        ref = plain.allocate(requests, token)
+        ref = plain_allocation(ring, networks, requests, token)
         miss = fast.allocate(requests, token)
         hit = fast.allocate(requests, token)
         assert miss == ref
@@ -128,7 +132,7 @@ class TestAllocationCache:
         n, networks, requests, token = case
         ring = RingGeometry(n)
         comp = CompiledAllocator(ring, networks).allocate(requests, token)
-        plain = Allocator(ring, networks=networks).allocate(requests, token)
+        plain = plain_allocation(ring, networks, requests, token)
 
         def triples(alloc):
             return tuple(
@@ -172,6 +176,60 @@ class TestAllocationCache:
             SimConfig(alloc_cache=-1)
 
 
+class TestPlainOracle:
+    """``plain_allocation`` is the reference rule; the runtime
+    ``Allocator`` evaluates the same rule on the shared compiled table."""
+
+    @given(lean_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_plain_rule_equals_allocator(self, case):
+        n, networks, requests, token = case
+        ring = RingGeometry(n)
+        ref = plain_allocation(ring, networks, requests, token)
+        got = Allocator(ring, networks).allocate(requests, token)
+        assert got == ref
+        assert list(got.grants.items()) == list(ref.grants.items())
+
+    @pytest.mark.parametrize("networks", (1, 2))
+    @pytest.mark.parametrize(
+        "requests,token,match",
+        [
+            ((0, 1, 2), 0, "expected 4 requests"),
+            ((0, 1, 2, 3, None), 0, "expected 4 requests"),
+            ((0, 1, 2, 3), 4, "token 4 out of range"),
+            ((0, 1, 2, 3), -1, "token -1 out of range"),
+            ((None, 1, 4, 3), 0, "request 4 out of range"),
+            ((None, -1, 2, 3), 0, "request -1 out of range"),
+        ],
+    )
+    def test_same_argument_checks(self, networks, requests, token, match):
+        ring = RingGeometry(4)
+        with pytest.raises(ValueError, match=match):
+            plain_allocation(ring, networks, requests, token)
+        with pytest.raises(ValueError, match=match):
+            Allocator(ring, networks).allocate(requests, token)
+
+    def test_runtime_allocator_builds_no_paths(self, monkeypatch):
+        ring = RingGeometry(4)
+        shared_compiled(4)  # the table is built once, up front
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("the plain rule ran at runtime")
+
+        monkeypatch.setattr(RingGeometry, "candidate_paths", no_paths)
+        alloc = Allocator(ring).allocate((1, 0, 3, 2), 0)
+        assert alloc.num_granted == 4
+        for fidelity, budget in (("fabric", {"quanta": 50}),
+                                 ("router", {"packets": 50})):
+            res = run_config(
+                SimConfig(fidelity=fidelity),
+                WorkloadSpec(pattern="uniform", packet_bytes=256, **budget),
+            )
+            assert res.delivered_packets > 0
+        with pytest.raises(AssertionError, match="plain rule"):
+            plain_allocation(ring, 1, (1, 0, 3, 2), 0)
+
+
 class TestSharedTable:
     """One immutable compiled table per geometry, and the lean
     ``grant_hops`` evaluation the space chips step on."""
@@ -180,7 +238,7 @@ class TestSharedTable:
     @settings(max_examples=300, deadline=None)
     def test_grant_hops_matches_plain_rule(self, case):
         n, networks, requests, token = case
-        ref = Allocator(RingGeometry(n), networks).allocate(requests, token)
+        ref = plain_allocation(RingGeometry(n), networks, requests, token)
         grants, blocked = shared_compiled(n, networks).grant_hops(
             requests, token
         )
@@ -453,22 +511,91 @@ class TestGaugeRegistration:
             assert tel2.registry.read_gauge("fabric.fast_forward.quanta") == 0
 
 
+class _PlainRuleTable:
+    """Stands in for the shared compiled table and evaluates the plain
+    rule instead, counting its calls."""
+
+    calls = 0
+
+    def __init__(self, ring, networks):
+        self.ring, self.networks = ring, networks
+
+    def allocate(self, requests, token):
+        _PlainRuleTable.calls += 1
+        return plain_allocation(self.ring, self.networks, requests, token)
+
+
+def _default_and_oracle(monkeypatch, config, workload):
+    """One run on the default allocator, then one with the plain rule
+    swapped in for the compiled table."""
+    default = run_config(config, workload)
+    monkeypatch.setattr(
+        Allocator, "compiled",
+        lambda self: _PlainRuleTable(self.ring, self.networks),
+    )
+    before = _PlainRuleTable.calls
+    oracle = run_config(config, workload)
+    assert _PlainRuleTable.calls > before  # the oracle really ran
+    return default, oracle
+
+
+def _signature(res):
+    return (
+        res.cycles,
+        res.delivered_packets,
+        res.delivered_words,
+        res.gbps,
+        list(res.per_port_packets),
+        res.extra.get("blocked_events"),
+    )
+
+
+#: Fig 7-1 bars: (fidelity, pattern, packet bytes).
+FIG7_1_BARS = [
+    (fidelity, pattern, size)
+    for fidelity in ("fabric", "router")
+    for pattern in ("permutation", "uniform")
+    for size in (64, 128, 256, 512, 1024)
+]
+
+
 class TestWiring:
+    @pytest.mark.parametrize("fidelity,pattern,size", FIG7_1_BARS)
+    def test_fig7_1_bar_identical_under_plain_rule(
+        self, monkeypatch, fidelity, pattern, size
+    ):
+        budget = {"quanta": 200} if fidelity == "fabric" else {"packets": 200}
+        default, oracle = _default_and_oracle(
+            monkeypatch,
+            SimConfig(fidelity=fidelity, seed=1),
+            WorkloadSpec(pattern=pattern, packet_bytes=size, **budget),
+        )
+        assert _signature(default) == _signature(oracle)
+
+    def test_full_budget_peak_golden_under_plain_rule(self, monkeypatch):
+        default, oracle = _default_and_oracle(
+            monkeypatch,
+            SimConfig(fidelity="fabric"),
+            WorkloadSpec(pattern="permutation", packet_bytes=1024),
+        )
+        assert default.gbps == oracle.gbps == 26.77124183006536
+        assert _signature(default) == _signature(oracle)
+
     def test_engine_reports_fast_path_and_stays_bit_identical(self):
         workload = WorkloadSpec(pattern="permutation", quanta=250)
-        plain = run_config(SimConfig(fidelity="fabric"), workload)
+        compiled_default = run_config(SimConfig(fidelity="fabric"), workload)
         fast = run_config(
             SimConfig(fidelity="fabric", alloc_cache=1024, fast_forward=True),
             workload,
         )
-        assert "fabric_fast_path" not in plain.extra
+        assert "fabric_fast_path" not in compiled_default.extra
         fp = fast.extra["fabric_fast_path"]
         assert fp["ff_quanta"] > 0
         assert 0.0 <= fp["cache_hit_rate"] <= 1.0
-        assert fast.cycles == plain.cycles
-        assert fast.delivered_packets == plain.delivered_packets
-        assert fast.gbps == plain.gbps
-        assert fast.per_port_packets == plain.per_port_packets
+        assert fast.cycles == compiled_default.cycles
+        assert fast.delivered_packets == compiled_default.delivered_packets
+        assert fast.gbps == compiled_default.gbps
+        assert fast.per_port_packets == compiled_default.per_port_packets
 
     def test_telemetry_summary_carries_fast_path(self):
         with runtime.capture() as tel:

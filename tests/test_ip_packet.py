@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ip.addr import ip_to_int
-from repro.ip.packet import HEADER_WORDS_IPV4, IPv4Packet
+from repro.ip.packet import HEADER_WORDS_IPV4, MAX_TOTAL_LENGTH, IPv4Packet
 
 addr = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
@@ -41,6 +41,37 @@ class TestSynthesize:
         c = IPv4Packet.synthesize(1, 2, 256, ident=6)
         assert a.payload == b.payload
         assert a.payload != c.payload
+
+
+def _reference_payload(ident, n_payload):
+    """The payload pattern, word by word in Python integers."""
+    return tuple(
+        ((ident * 2654435761) + i * 0x9E3779B9) & 0xFFFFFFFF
+        for i in range(n_payload)
+    )
+
+
+class TestPayloadPattern:
+    @given(
+        ident=st.integers(0, 2**40),
+        n_payload=st.integers(0, MAX_TOTAL_LENGTH // 4 - HEADER_WORDS_IPV4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_formula(self, ident, n_payload):
+        size = 4 * (n_payload + HEADER_WORDS_IPV4)
+        pkt = IPv4Packet.synthesize(1, 2, size, ident=ident)
+        assert pkt.payload == _reference_payload(ident, n_payload)
+        assert all(type(w) is int for w in pkt.payload)
+        assert pkt.checksum_ok()
+
+    @pytest.mark.parametrize("ident", (0, 1, 0xFFFF, 2**32 - 1, 2**40))
+    def test_largest_packet(self, ident):
+        n_payload = MAX_TOTAL_LENGTH // 4 - HEADER_WORDS_IPV4
+        pkt = IPv4Packet.synthesize(
+            1, 2, 4 * (n_payload + HEADER_WORDS_IPV4), ident=ident
+        )
+        assert pkt.payload == _reference_payload(ident, n_payload)
+        assert all(type(w) is int for w in pkt.payload)
 
 
 class TestRoundtrip:
