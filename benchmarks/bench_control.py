@@ -12,13 +12,7 @@ import pytest
 from repro.experiments.common import ExperimentResult
 from repro.ip.addr import Prefix
 from repro.router import NetworkProcessor, RawRouter, RouteUpdate
-from repro.traffic import (
-    FixedSize,
-    PacketFactory,
-    Saturated,
-    UniformDestinations,
-    Workload,
-)
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
 
 
 def run_control_plane(updates=200, spacing=1_000, seed=0):
@@ -30,12 +24,8 @@ def run_control_plane(updates=200, spacing=1_000, seed=0):
     def build(with_updates: bool):
         rng = np.random.default_rng(seed)
         router = RawRouter(warmup_cycles=20_000)
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(512),
-            Saturated(),
-        )
-        router.attach_saturated(workload, PacketFactory(4, rng))
+        traffic = SpecModel(spec_from_legacy("uniform", 512), n=4, seed=seed)
+        router.attach_saturated(traffic, PacketFactory(4, rng))
         processor = None
         if with_updates:
             schedule = [

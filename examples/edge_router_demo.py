@@ -13,14 +13,7 @@ import numpy as np
 
 from repro.ip import Prefix, RoutingTable, random_prefixes
 from repro.router import RawRouter
-from repro.traffic import (
-    FixedSize,
-    IMix,
-    PacketFactory,
-    Saturated,
-    UniformDestinations,
-    Workload,
-)
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
 from repro.viz.tables import format_table
 
 
@@ -35,14 +28,11 @@ def build_edge_table(rng: np.random.Generator, num_ports: int = 4) -> RoutingTab
 def run_at_load(load: float, rng: np.random.Generator, packets_per_port: int = 300):
     table = build_edge_table(rng)
     router = RawRouter(table=table, warmup_cycles=20_000)
-    workload = Workload(
-        pattern=UniformDestinations(4, rng, exclude_self=True),
-        sizes=FixedSize(512),
-        arrivals=Saturated(),  # the line card paces; arrivals gate nothing
-    )
+    # Uniform destinations, 512-byte packets; the line cards pace them.
+    traffic = SpecModel(spec_from_legacy("uniform", 512), n=4, seed=42)
     factory = PacketFactory(4, rng)
     sources = router.attach_linecards(
-        workload, factory, offered_load=load, rng=rng, packets_per_port=packets_per_port
+        traffic, factory, offered_load=load, rng=rng, packets_per_port=packets_per_port
     )
     result = router.run(target_packets=int(packets_per_port * 4 * 0.9))
     lat = result.latency_summary()

@@ -17,7 +17,7 @@ from repro.core.compute import ByteSwap, Identity, RunningChecksum, XorCipher
 from repro.experiments import compute_ext
 from repro.ip.packet import IPv4Packet
 from repro.router import RawRouter
-from repro.traffic import FixedPermutation, FixedSize, PacketFactory, Saturated, Workload
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
 
 
 def functional_demo() -> None:
@@ -25,7 +25,7 @@ def functional_demo() -> None:
     cipher = XorCipher(seed=0xDEADBEEF)
     rng = np.random.default_rng(1)
     router = RawRouter(transform=cipher, warmup_cycles=0)
-    workload = Workload(FixedPermutation.shift(4, 1), FixedSize(256), Saturated())
+    traffic = SpecModel(spec_from_legacy("permutation", 256, shift=1), n=4)
     factory = PacketFactory(4, rng)
 
     # Track every packet and its plaintext; the fabric mutates payloads
@@ -39,7 +39,7 @@ def functional_demo() -> None:
         return pkt
 
     factory.make = tracking_make
-    router.attach_saturated(workload, factory)
+    router.attach_saturated(traffic, factory)
     result = router.run(target_packets=40)
 
     delivered = [(p, plain) for p, plain in tracked if p.departure_cycle >= 0]

@@ -15,19 +15,16 @@ import numpy as np
 from repro.core import Allocator, RingGeometry
 from repro.core.config_space import ConfigurationSpace
 from repro.router import RawRouter
-from repro.traffic import FixedPermutation, FixedSize, PacketFactory, Saturated, Workload
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
 
 
 def main() -> None:
     # --- 1. A saturated peak-throughput run --------------------------------
     rng = np.random.default_rng(0)
     router = RawRouter(warmup_cycles=30_000)
-    workload = Workload(
-        pattern=FixedPermutation.shift(4, 2),  # port i -> port (i+2) % 4
-        sizes=FixedSize(1024),
-        arrivals=Saturated(),
-    )
-    router.attach_saturated(workload, PacketFactory(4, rng))
+    # Port i -> port (i+2) % 4, 1,024-byte packets, inputs always busy.
+    traffic = SpecModel(spec_from_legacy("permutation", 1024, shift=2), n=4)
+    router.attach_saturated(traffic, PacketFactory(4, rng))
     result = router.run(max_cycles=300_000)
     print(f"peak throughput : {result.gbps:6.2f} Gbps   (thesis: 26.9)")
     print(f"peak packet rate: {result.mpps:6.2f} Mpps   (thesis: 3.3)")

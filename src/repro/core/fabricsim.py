@@ -698,31 +698,41 @@ def saturated_permutation(words: int, shift: int = 2, n: int = 4) -> PortSource:
     return source
 
 
-def saturated_uniform(words: int, rng, n: int = 4, exclude_self: bool = False) -> PortSource:
-    """Uniform iid destinations (the thesis's "complete fairness" traffic)."""
-    if exclude_self and n < 2:
-        raise ValueError(
-            "exclude_self needs at least 2 ports: with n=1 every draw is "
-            "the self-destination and the rejection loop never terminates"
-        )
+def _counter_model_source(pattern, words: int, seed: int, n: int):
+    """A fixed-size saturated fabric source over the counter-based
+    :class:`~repro.traffic.model.SpecModel` (resumable via
+    ``state()``/``restore()``)."""
+    from repro.traffic.build import FabricModelSource
+    from repro.traffic.model import SpecModel
+    from repro.traffic.spec import SizeSpec, TrafficSpec
 
-    def source(port: int) -> Tuple[int, int]:
-        while True:
-            dest = int(rng.integers(0, n))
-            if not exclude_self or dest != port:
-                return (dest, words)
+    costs = CostModel.default()
+    spec = TrafficSpec(
+        pattern=pattern, sizes=SizeSpec(bytes=words * costs.word_bytes)
+    )
+    return FabricModelSource(SpecModel(spec, n=n, seed=seed), costs)
 
-    return source
+
+def saturated_uniform(words: int, seed: int = 0, n: int = 4,
+                      exclude_self: bool = False) -> PortSource:
+    """Uniform iid destinations (the thesis's "complete fairness" traffic).
+
+    Draws the same destinations as the fabric engine's ``uniform``
+    workload under the same seed."""
+    from repro.traffic.spec import PatternSpec
+
+    return _counter_model_source(
+        PatternSpec(kind="uniform", exclude_self=exclude_self), words, seed, n
+    )
 
 
 class CounterUniformSource:
     """Uniform iid destinations from counter-based (stateless-replayable)
     randomness: draw ``k`` for port ``p`` hashes ``(seed, p, k)``.
 
-    Unlike :func:`saturated_uniform` (which consumes a shared sequential
-    RNG), the only mutable state is one draw counter per port, so a run
-    can be snapshot at any quantum boundary and resumed bit-identically
-    in another process -- the property snapshot/resume needs from a
+    The only mutable state is one draw counter per port, so a run can be
+    snapshot at any quantum boundary and resumed bit-identically in
+    another process -- the property snapshot/resume needs from a
     stochastic workload.  Not marked ``deterministic``:
     the destination stream is aperiodic, so fast-forward never applies.
     """
@@ -771,14 +781,11 @@ def saturated_uniform_counter(words: int, seed: int, n: int = 4,
     return CounterUniformSource(words, seed, n=n, exclude_self=exclude_self)
 
 
-def saturated_hotspot(words: int, rng, hot: int = 0, p_hot: float = 0.7, n: int = 4) -> PortSource:
+def saturated_hotspot(words: int, seed: int = 0, hot: int = 0,
+                      p_hot: float = 0.7, n: int = 4) -> PortSource:
     """All inputs prefer one output with probability ``p_hot``."""
-    if not 0.0 <= p_hot <= 1.0:
-        raise ValueError("p_hot must be a probability")
+    from repro.traffic.spec import PatternSpec
 
-    def source(port: int) -> Tuple[int, int]:
-        if rng.random() < p_hot:
-            return (hot, words)
-        return (int(rng.integers(0, n)), words)
-
-    return source
+    return _counter_model_source(
+        PatternSpec(kind="hotspot", hot_port=hot, p_hot=p_hot), words, seed, n
+    )

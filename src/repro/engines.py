@@ -29,8 +29,8 @@ from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.config import CostModel, SimConfig
 
-#: Traffic pattern names understood by every engine (the deprecated
-#: flat-kwargs surface; the ``traffic=`` spec supersedes it).
+#: Traffic pattern names of the flat-kwargs shorthand (the ``traffic=``
+#: spec covers these and every other workload).
 PATTERNS = ("permutation", "uniform", "hotspot")
 
 #: Schema tag on :meth:`WorkloadSpec.to_dict`; bump on breaking changes.
@@ -47,12 +47,13 @@ class WorkloadSpec:
     a preset name like ``"imix_onoff"``, a ``.json`` spec path, or a
     ``.csv``/``.jsonl`` trace path).  The flat ``pattern`` / ``shift``
     / ``hot_port`` / ``p_hot`` / ``packet_bytes`` kwargs are the
-    deprecated compat shim: when ``traffic`` is None they map onto the
-    equivalent spec via :meth:`effective_traffic`, bit-identical to the
-    historical engines.  The budget fields are interpreted by fidelity:
-    ``quanta`` bounds the fabric engine, ``packets`` the phase-level
-    router (defaults to ``quanta`` deliveries), ``cycles`` the
-    word-level model.  ``None`` warmups pick each engine's historical
+    shorthand for a saturated fixed-size spec: when ``traffic`` is None
+    they map onto the equivalent spec via :meth:`effective_traffic`,
+    and the engines see nothing else.  The budget fields are
+    interpreted by fidelity: ``quanta`` bounds the fabric engine,
+    ``packets`` the phase-level router (defaults to ``quanta``
+    deliveries), ``cycles`` the word-level model (which raises when
+    ``warmup_cycles`` leaves no cycles to measure).  ``None`` warmups pick each engine's historical
     default so results stay comparable with the seed's experiment
     harness.
     """
@@ -114,7 +115,7 @@ class WorkloadSpec:
 
     def effective_traffic(self):
         """The workload as a TrafficSpec: ``traffic`` if set, else the
-        deprecated flat kwargs mapped onto the equivalent spec."""
+        flat kwargs mapped onto the equivalent spec."""
         from repro.traffic.spec import resolve_traffic, spec_from_legacy
 
         if self.traffic is not None:
@@ -251,23 +252,10 @@ class FabricEngine(_BaseEngine):
 
     fidelity = "fabric"
 
-    #: Build counter-based models even for legacy specs.  The many-worlds
-    #: scalar reference path (:mod:`repro.parallel.manyworlds`) flips this
-    #: on: only counter-based draws vectorize, so its per-world scalar
-    #: runs must consume the same streams the vectorized engine does.
-    force_counter = False
-
-    def _source(self, workload: WorkloadSpec):
-        from repro.traffic.build import fabric_source
-
-        return fabric_source(
-            workload.effective_traffic(), self.config,
-            force_counter=self.force_counter,
-        )
-
     def run(self, workload: WorkloadSpec) -> RunResult:
         from repro.core.fabricsim import FabricSimulator
         from repro.core.ring import RingGeometry
+        from repro.traffic.build import fabric_source
 
         costs = self.config.cost_model()
         ring = RingGeometry(self.config.ports)
@@ -293,7 +281,7 @@ class FabricEngine(_BaseEngine):
             else max(50, workload.quanta // 20)
         )
         stats = sim.run(
-            self._source(workload),
+            fabric_source(workload.effective_traffic(), self.config),
             quanta=workload.quanta,
             warmup_quanta=warmup,
         )
@@ -533,6 +521,12 @@ class WordLevelEngine(_BaseEngine):
         costs = self.config.cost_model()
         _install_port_classes(workload, self.config.ports)
         source = wordlevel_source(workload.effective_traffic(), self.config)
+        if workload.warmup_cycles >= workload.cycles:
+            raise ValueError(
+                f"warmup_cycles={workload.warmup_cycles} must be below "
+                f"cycles={workload.cycles}: the word-level engine measures "
+                "only the cycles after warmup"
+            )
         router = WordLevelRouter(source, costs=costs, faults=workload.fault_plan)
         res = router.run(
             until_cycles=workload.cycles, warmup_cycles=workload.warmup_cycles

@@ -16,10 +16,9 @@ import numpy as np
 from repro.experiments.common import ExperimentResult
 from repro.raw import costs
 from repro.router.router import RawRouter
-from repro.traffic.arrivals import Saturated
-from repro.traffic.patterns import UniformDestinations
-from repro.traffic.sizes import FixedSize
-from repro.traffic.workload import PacketFactory, Workload
+from repro.traffic.model import SpecModel
+from repro.traffic.spec import spec_from_legacy
+from repro.traffic.workload import PacketFactory
 
 #: Per-port line rate of the model: one 32-bit word per cycle at 250 MHz.
 LINE_RATE_GBPS = costs.WORD_BITS * costs.CLOCK_HZ / 1e9
@@ -35,18 +34,14 @@ def run(
         name="load_latency",
         description=f"Latency vs offered load, {size_bytes}B uniform traffic",
     )
+    spec = spec_from_legacy("uniform", size_bytes)
     knee_gbps = None
     for load in loads:
         rng = np.random.default_rng(seed)
         router = RawRouter(warmup_cycles=20_000)
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(size_bytes),
-            Saturated(),
-        )
         factory = PacketFactory(4, rng)
         sources = router.attach_linecards(
-            workload,
+            SpecModel(spec, n=4, seed=seed),
             factory,
             offered_load=load,
             rng=rng,
@@ -65,9 +60,8 @@ def run(
     # measured average capacity for this packet size.
     from repro.core.fabricsim import FabricSimulator, saturated_uniform
 
-    rng = np.random.default_rng(seed)
     fabric_cap = FabricSimulator().run(
-        saturated_uniform(costs.bytes_to_words(size_bytes), rng, exclude_self=True),
+        saturated_uniform(costs.bytes_to_words(size_bytes), seed, exclude_self=True),
         quanta=3000,
         warmup_quanta=200,
     ).gbps

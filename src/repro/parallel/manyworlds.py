@@ -14,8 +14,7 @@ What makes this exact rather than approximate:
 * every traffic draw is counter-based (:mod:`repro.traffic.rng`): a
   pure function of ``(seed, stream, counter)``, so a ``[n_worlds]``
   lane of seeds plus ``[n_worlds, ports]`` counter arrays reproduces
-  each world's scalar draw stream bit-for-bit
-  (:class:`VecSpecModel`, :class:`VecCounterUniform`);
+  each world's scalar draw stream bit-for-bit (:class:`VecSpecModel`);
 * the allocation rule is shared lookup tensors
   (:meth:`~repro.core.allocator.CompiledAllocator.lookup_tensors`)
   indexed per world: the token is global (all worlds rotate in
@@ -25,9 +24,11 @@ What makes this exact rather than approximate:
   quantum, so a world x port queue slot is just (valid, dest, words).
 
 Correctness contract (the same one every fast path in this repo
-honors): **world 0 is bit-identical to the scalar fabric engine** with
-``force_counter=True`` sources, and world ``w`` to a scalar run seeded
-``seeds.world_seed(config.seed, w)`` -- property-tested in
+honors): **world 0 is bit-identical to the scalar fabric engine**
+(``run_config`` on the same config and workload), and world ``w`` to a
+scalar run seeded ``seeds.world_seed(config.seed, w)`` -- by
+construction, since every engine draws from the same counter-based
+:class:`~repro.traffic.model.SpecModel`, and property-tested in
 ``tests/test_manyworlds.py``.  Configurations the array program cannot
 represent (fault plans, telemetry recording, replay traces,
 multi-fragment packets, >64 link bits) **fall back loudly** to per-world
@@ -56,7 +57,7 @@ from repro.core.phases import (
 )
 from repro.core.ring import RingGeometry
 from repro.engines import FabricEngine, RunResult, WorkloadSpec
-from repro.seeds import counter_seed, spec_seed, world_seed
+from repro.seeds import spec_seed, world_seed
 from repro.traffic.model import (
     _S_ARRIVAL,
     _S_BURST,
@@ -314,83 +315,6 @@ class VecSpecModel:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized CounterUniformSource (the resumable uniform workload).
-# ---------------------------------------------------------------------------
-def _crc32_table() -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint32)
-    for i in range(256):
-        c = i
-        for _ in range(8):
-            c = (c >> 1) ^ 0xEDB88320 if c & 1 else c >> 1
-        table[i] = c
-    return table
-
-
-_CRC_TABLE = _crc32_table()
-_U8, _U24, _FF = np.uint32(8), np.uint32(24), np.uint32(0xFF)
-
-
-class VecCounterUniform:
-    """:class:`~repro.core.fabricsim.CounterUniformSource` over world lanes.
-
-    The scalar source hashes ``zlib.crc32(pack("<III", seed, port, k))``
-    per draw.  Here the CRC over the constant 8-byte ``(seed, port)``
-    prefix is precomputed per (world, port); a draw is then four
-    table-driven byte steps over ``k``'s little-endian bytes -- all
-    vectorized -- with the same masked rejection loop for
-    ``exclude_self``.  Draw streams are bit-identical per lane
-    (property-tested against ``zlib.crc32`` in the test suite).
-    """
-
-    deterministic = False
-
-    def __init__(self, words: int, seeds: Sequence[int], n: int = 4,
-                 exclude_self: bool = True):
-        if exclude_self and n < 2:
-            raise ValueError("exclude_self needs at least 2 ports")
-        self.words = words
-        self.n = n
-        self.w = len(seeds)
-        self.exclude_self = exclude_self
-        self.seeds = [counter_seed(s) for s in seeds]
-        # CRC state after the (seed, port) prefix, before final xor-out.
-        prefix = np.zeros((self.w, n), dtype=np.uint32)
-        for wi, seed in enumerate(self.seeds):
-            for p in range(n):
-                c = 0xFFFFFFFF
-                for b in seed.to_bytes(4, "little") + p.to_bytes(4, "little"):
-                    c = (c >> 8) ^ int(_CRC_TABLE[(c ^ b) & 0xFF])
-                prefix[wi, p] = c
-        self._prefix = prefix
-        self._draws = np.zeros((self.w, n), dtype=np.int64)
-
-    def _crc_finish(self, p: int, k: np.ndarray) -> np.ndarray:
-        """Fold ``k``'s 4 little-endian bytes into the prefix CRC."""
-        crc = self._prefix[:, p].copy()
-        ku = k.astype(np.uint32)
-        for shift in (np.uint32(0), _U8, np.uint32(16), _U24):
-            b = (ku >> shift) & _FF
-            crc = (crc >> _U8) ^ _CRC_TABLE[(crc ^ b) & _FF]
-        return crc ^ np.uint32(0xFFFFFFFF)
-
-    def draw_col(self, p: int, m: np.ndarray) -> np.ndarray:
-        """One destination draw per world where ``m`` (with rejection)."""
-        k = self._draws[:, p].copy()
-        dest = np.zeros(self.w, dtype=np.int64)
-        active = m.copy()
-        while active.any():
-            d = (self._crc_finish(p, k) % np.uint32(self.n)).astype(np.int64)
-            k += active.astype(np.int64)
-            settled = active & (
-                np.ones(self.w, dtype=bool) if not self.exclude_self else d != p
-            )
-            dest[settled] = d[settled]
-            active &= ~settled
-        self._draws[m, p] = k[m]
-        return dest
-
-
-# ---------------------------------------------------------------------------
 # The fallback matrix.
 # ---------------------------------------------------------------------------
 def supports(config: SimConfig, workload: WorkloadSpec) -> Optional[str]:
@@ -426,13 +350,6 @@ def supports(config: SimConfig, workload: WorkloadSpec) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # The scalar reference (and fallback) path.
 # ---------------------------------------------------------------------------
-class _ScalarWorldEngine(FabricEngine):
-    """The per-world scalar reference: the stock fabric engine, with
-    counter-based sources forced so draws match the vector lanes."""
-
-    force_counter = True
-
-
 def _effective_warmup(workload: WorkloadSpec) -> int:
     return (
         workload.warmup_quanta
@@ -446,9 +363,9 @@ def scalar_world_stats(
 ) -> FabricStats:
     """Run one world through the scalar fabric loop; full counters.
 
-    This is the bit-identity reference: same simulator assembly as
-    :class:`~repro.engines.FabricEngine`, with ``force_counter=True``
-    sources and the world's derived seed.
+    This is the bit-identity reference: same simulator assembly and
+    source as :class:`~repro.engines.FabricEngine`, under the world's
+    derived seed.
     """
     from repro.core.allocator import Allocator
     from repro.core.fabricsim import FabricSimulator
@@ -466,7 +383,7 @@ def scalar_world_stats(
         fast_forward=cfg.fast_forward,
     )
     sim.install_faults(workload.fault_plan)
-    source = fabric_source(workload.effective_traffic(), cfg, force_counter=True)
+    source = fabric_source(workload.effective_traffic(), cfg)
     return sim.run(
         source, quanta=workload.quanta, warmup_quanta=_effective_warmup(workload)
     )
@@ -478,7 +395,7 @@ def run_scalar_world(
     """One world as a full :class:`~repro.engines.RunResult` (the shape
     sweep rows carry)."""
     cfg = config.replace(seed=world_seed(config.seed, world))
-    return _ScalarWorldEngine(cfg).run(workload)
+    return FabricEngine(cfg).run(workload)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ from repro.router.stats import RouterStats
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace
 from repro.telemetry import runtime as _telemetry
-from repro.traffic.workload import PacketFactory, Workload
+from repro.traffic.model import TrafficModel
+from repro.traffic.workload import PacketFactory
 
 
 class RouterResult:
@@ -250,7 +251,7 @@ class RawRouter:
             )
         self._fabric_started = True
 
-    def attach_saturated(self, workload: Workload, factory: PacketFactory) -> None:
+    def attach_saturated(self, traffic: TrafficModel, factory: PacketFactory) -> None:
         """Every ingress always has its next packet ready (peak regime)."""
         if self._attached:
             raise RuntimeError("router already has attached sources")
@@ -258,7 +259,7 @@ class RawRouter:
         for port in range(self.num_ports):
 
             def supply(p: int = port):
-                pkt = factory.from_workload(workload, p)
+                pkt = factory.from_workload(traffic, p)
                 if pkt is not None:
                     pkt.arrival_cycle = self.sim.now
                 return pkt
@@ -271,7 +272,7 @@ class RawRouter:
 
     def attach_linecards(
         self,
-        workload: Workload,
+        traffic: TrafficModel,
         factory: PacketFactory,
         offered_load: float,
         rng: np.random.Generator,
@@ -289,7 +290,7 @@ class RawRouter:
                 self.injector.channels[f"line:{port}"] = line_in
 
             def make(p: int = port):
-                return factory.from_workload(workload, p)
+                return factory.from_workload(traffic, p)
 
             src = LineCardSource(
                 port,

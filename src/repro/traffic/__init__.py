@@ -11,20 +11,16 @@ replay -- all behind one declarative, schema-tagged
 :func:`build` (:mod:`repro.traffic.build`), that every engine and
 baseline constructs its sources through.
 
-Stochastic draws are counter-based (:mod:`repro.traffic.rng`), so every
-source snapshots and resumes bit-identically -- the state is a handful
-of integers per port -- and partitions across the space engine's
-workers (:mod:`repro.parallel.space_shard`).
+Every Raw-router engine and experiment draws from one traffic model:
+:class:`~repro.traffic.model.SpecModel` for synthetic specs,
+:class:`~repro.traffic.replay.TraceReplay` for traces.  Its draws are
+counter-based (:mod:`repro.traffic.rng`), so every source snapshots and
+resumes bit-identically -- the state is a handful of integers per
+port -- and partitions across the space engine's workers
+(:mod:`repro.parallel.space_shard`).
 """
 
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    Bernoulli,
-    CounterSlotArrivals,
-    IIDSlotArrivals,
-    OnOff,
-    Saturated,
-)
+from repro.traffic.arrivals import CounterSlotArrivals, IIDSlotArrivals
 from repro.traffic.build import (
     build,
     fabric_source as build_fabric_source,
@@ -35,14 +31,6 @@ from repro.traffic.build import (
     wordlevel_source as build_wordlevel_source,
 )
 from repro.traffic.model import SpecModel, TrafficModel
-from repro.traffic.patterns import (
-    BurstyDestinations,
-    DestinationPattern,
-    FixedPermutation,
-    HotspotDestinations,
-    RotatingPermutation,
-    UniformDestinations,
-)
 from repro.traffic.replay import TraceReplay, generate_trace, iter_flows, scan_trace
 from repro.traffic.sizes import (
     PAPER_SIZES,
@@ -62,30 +50,18 @@ from repro.traffic.spec import (
     resolve_traffic,
     spec_from_legacy,
 )
-from repro.traffic.workload import PacketFactory, Workload, fabric_source
+from repro.traffic.workload import PacketFactory
 
 __all__ = [
-    "DestinationPattern",
-    "UniformDestinations",
-    "FixedPermutation",
-    "RotatingPermutation",
-    "HotspotDestinations",
-    "BurstyDestinations",
     "SizeDistribution",
     "FixedSize",
     "IMix",
     "UniformSizes",
     "BimodalSizes",
     "PAPER_SIZES",
-    "ArrivalProcess",
-    "Saturated",
-    "Bernoulli",
-    "OnOff",
     "IIDSlotArrivals",
     "CounterSlotArrivals",
-    "Workload",
     "PacketFactory",
-    "fabric_source",
     # The declarative layer.
     "TrafficSpec",
     "PatternSpec",

@@ -1,18 +1,14 @@
 """``traffic.build``: the one factory every engine builds sources through.
 
-Dispatch rule: the *legacy trio* -- a drift-free
-permutation/uniform/hotspot pattern with fixed sizes and saturated
-arrivals -- routes to each engine's historical constructor with the
-historical RNG and draw order, so pre-existing workloads are
-bit-identical through this factory (the compat guarantee
-``tests/test_traffic_spec.py`` pins).  Everything else (replay, IMIX,
-on-off/MMPP, bursty, hotspot drift, Bernoulli) builds the unified
-counter-based :class:`~repro.traffic.model.SpecModel` /
-:class:`~repro.traffic.replay.TraceReplay` and wraps it in the
-engine-specific adapter.  Counter-based draws are what let the new
-sources snapshot/resume and partition across space-engine workers
+Every synthetic spec -- the flat-kwarg permutation/uniform/hotspot
+workloads included -- realizes as the counter-based
+:class:`~repro.traffic.model.SpecModel`, and every trace as
+:class:`~repro.traffic.replay.TraceReplay`; the factory only wraps the
+model in the engine-specific adapter.  Counter-based draws are what let
+every source snapshot/resume and partition across space-engine workers
 (`{"kind": "traffic", ...}` in
-:class:`~repro.parallel.space_shard.SpaceSpec`).
+:class:`~repro.parallel.space_shard.SpaceSpec`), and what makes the
+many-worlds engine's world 0 the stock fabric run.
 """
 
 from __future__ import annotations
@@ -24,7 +20,6 @@ from repro.config import CostModel, SimConfig
 from repro.traffic.model import SpecModel, TrafficModel
 from repro.traffic.replay import TraceReplay
 from repro.traffic.spec import (
-    ArrivalSpec,
     TrafficLike,
     TrafficSpec,
     resolve_traffic,
@@ -42,24 +37,10 @@ def _check_hot_port(spec: TrafficSpec, ports: int) -> None:
         )
 
 
-def _is_legacy(spec: TrafficSpec) -> bool:
-    """True when the spec is exactly a thesis-era canned workload."""
-    return (
-        spec.kind == "synthetic"
-        and spec.arrivals.kind == "saturated"
-        and spec.sizes.kind == "fixed"
-        and spec.pattern.kind in ("permutation", "uniform", "hotspot")
-        and not (spec.pattern.kind == "hotspot" and spec.pattern.drift_packets)
-    )
-
-
-def _model(spec: TrafficSpec, ports: int, seed: int,
-           gate_arrivals: bool = True, loop: Optional[bool] = None) -> TrafficModel:
+def _model(spec: TrafficSpec, ports: int, seed: int) -> TrafficModel:
     if spec.kind == "replay":
-        return TraceReplay(
-            spec.trace, n=ports, loop=spec.loop if loop is None else loop
-        )
-    return SpecModel(spec, n=ports, seed=seed, gate_arrivals=gate_arrivals)
+        return TraceReplay(spec.trace, n=ports, loop=spec.loop)
+    return SpecModel(spec, n=ports, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -90,43 +71,15 @@ class FabricModelSource:
         return self
 
 
-def fabric_source(spec: TrafficLike, config: SimConfig,
-                  force_counter: bool = False):
-    """A fabric PortSource for ``spec`` under ``config``.
-
-    ``force_counter`` builds the counter-based model even for legacy
-    workloads -- snapshot/resume and the space engine need
-    ``state()``/``restore()`` and per-port draws, which the historical
-    shared-RNG sources cannot provide.
-    """
-    import numpy as np
-
-    from repro.core.fabricsim import (
-        saturated_hotspot,
-        saturated_permutation,
-        saturated_uniform,
-    )
-
+def fabric_source(spec: TrafficLike, config: SimConfig) -> FabricModelSource:
+    """A fabric PortSource for ``spec`` under ``config``."""
     spec = resolve_traffic(spec)
     if spec is None:
         raise ValueError("fabric_source needs a traffic spec")
-    n = config.ports
-    costs = config.cost_model()
-    _check_hot_port(spec, n)
-    if _is_legacy(spec) and not force_counter:
-        p = spec.pattern
-        words = costs.bytes_to_words(spec.sizes.bytes)
-        if p.kind == "permutation":
-            return saturated_permutation(words, shift=p.shift, n=n)
-        rng = np.random.default_rng(config.seed)
-        if p.kind == "uniform":
-            return saturated_uniform(
-                words, rng, n=n, exclude_self=p.exclude_self
-            )
-        return saturated_hotspot(
-            words, rng, hot=p.hot_port, p_hot=p.p_hot, n=n
-        )
-    return FabricModelSource(_model(spec, n, config.seed), costs)
+    _check_hot_port(spec, config.ports)
+    return FabricModelSource(
+        _model(spec, config.ports, config.seed), config.cost_model()
+    )
 
 
 def shard_source(spec: TrafficLike, seed: int = 0) -> dict:
@@ -150,16 +103,14 @@ def fabric_source_for_shard(source_dict: dict, ports: int,
         raise ValueError("traffic shard source needs a 'json' or 'spec' entry")
     seed = int(source_dict.get("seed", 0))
     config = SimConfig(ports=ports, costs=costs, seed=seed)
-    src = fabric_source(spec, config, force_counter=True)
-    assert isinstance(src, FabricModelSource)
-    return src
+    return fabric_source(spec, config)
 
 
 # ---------------------------------------------------------------------------
 # Router (phase-level) fidelity.
 # ---------------------------------------------------------------------------
 def router_traffic(spec: TrafficLike, config: SimConfig):
-    """(workload-like, PacketFactory, offered_load) for the router engine.
+    """(TrafficModel, PacketFactory, offered_load) for the router engine.
 
     ``offered_load`` is None for saturated specs (attach via
     ``attach_saturated``); otherwise the line-card path paces the
@@ -169,36 +120,16 @@ def router_traffic(spec: TrafficLike, config: SimConfig):
     """
     import numpy as np
 
-    from repro.traffic.arrivals import Saturated
-    from repro.traffic.patterns import (
-        FixedPermutation,
-        HotspotDestinations,
-        UniformDestinations,
-    )
-    from repro.traffic.sizes import FixedSize
-    from repro.traffic.workload import PacketFactory, Workload
+    from repro.traffic.workload import PacketFactory
 
     spec = resolve_traffic(spec)
     if spec is None:
         raise ValueError("router_traffic needs a traffic spec")
     n = config.ports
     _check_hot_port(spec, n)
-    rng = np.random.default_rng(config.seed)
-    factory = PacketFactory(n, rng)
-    if spec.kind == "replay":
-        return TraceReplay(spec.trace, n=n, loop=spec.loop), factory, None
-    if _is_legacy(spec):
-        p = spec.pattern
-        if p.kind == "permutation":
-            pattern = FixedPermutation.shift(n, p.shift)
-        elif p.kind == "uniform":
-            pattern = UniformDestinations(n, rng, exclude_self=p.exclude_self)
-        else:
-            pattern = HotspotDestinations(n, rng, hot=p.hot_port, p_hot=p.p_hot)
-        workload = Workload(pattern, FixedSize(spec.sizes.bytes), Saturated())
-        return workload, factory, None
-    if spec.arrivals.kind == "saturated":
-        return SpecModel(spec, n=n, seed=config.seed), factory, None
+    factory = PacketFactory(n, np.random.default_rng(config.seed))
+    if spec.kind == "replay" or spec.arrivals.kind == "saturated":
+        return _model(spec, n, config.seed), factory, None
     # Paced: strip the arrival gate (line cards pace in simulated time).
     model = SpecModel(spec, n=n, seed=config.seed, gate_arrivals=False)
     return model, factory, spec.arrivals.load
@@ -209,11 +140,10 @@ def router_traffic(spec: TrafficLike, config: SimConfig):
 # ---------------------------------------------------------------------------
 class WordModelSource:
     """Adapt a (saturated) TrafficModel to the word-level WordSource
-    protocol: mint real IPv4 packets the way the historical closures do."""
+    protocol: mint a real IPv4 packet per draw, its destination address
+    naming the output port."""
 
     def __init__(self, model: TrafficModel, max_bytes: int):
-        from repro.ip.packet import IPv4Packet  # noqa: F401  (import check)
-
         self.model = model
         self.max_bytes = max_bytes
         self._count = 0
@@ -241,10 +171,6 @@ class WordModelSource:
 def wordlevel_source(spec: TrafficLike, config: SimConfig):
     """A word-level WordSource for ``spec`` (4 ports, saturated,
     single-quantum packets -- the model's standing restrictions)."""
-    import numpy as np
-
-    from repro.router.wordlevel import permutation_source, uniform_source
-
     spec = resolve_traffic(spec)
     if spec is None:
         raise ValueError("wordlevel_source needs a traffic spec")
@@ -266,20 +192,7 @@ def wordlevel_source(spec: TrafficLike, config: SimConfig):
             f"word-level packets are single-quantum: size distribution "
             f"reaches {spec.sizes.max_bytes()}B > {max_bytes}B"
         )
-    if _is_legacy(spec):
-        p = spec.pattern
-        if p.kind == "permutation":
-            return permutation_source(spec.sizes.bytes, shift=p.shift)
-        if p.kind == "uniform":
-            return uniform_source(
-                spec.sizes.bytes,
-                np.random.default_rng(config.seed),
-                exclude_self=p.exclude_self,
-            )
-        # Legacy hotspot historically raised on this engine; it now runs
-        # through the unified model below.
-    model = SpecModel(spec, n=n, seed=config.seed)
-    return WordModelSource(model, max_bytes)
+    return WordModelSource(SpecModel(spec, n=n, seed=config.seed), max_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +250,7 @@ def size_distribution(sizes: Any, rng=None):
 def build(spec: TrafficLike, config: SimConfig, fidelity: Optional[str] = None):
     """Build the source object for ``config``'s (or ``fidelity``'s) engine.
 
-    fabric -> PortSource, router -> (workload, factory, offered_load),
+    fabric -> PortSource, router -> (TrafficModel, factory, offered_load),
     wordlevel -> WordSource.
     """
     fidelity = fidelity or config.fidelity

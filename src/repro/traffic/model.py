@@ -226,8 +226,3 @@ class SpecModel:
     @property
     def load(self) -> float:
         return 1.0 if not self.gate else self.spec.arrivals.load
-
-    @property
-    def num_ports(self) -> int:
-        """Duck-type compatibility with :class:`repro.traffic.workload.Workload`."""
-        return self.n

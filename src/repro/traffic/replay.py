@@ -176,10 +176,6 @@ class TraceReplay:
                     )
         return self
 
-    @property
-    def num_ports(self) -> int:
-        return self.n
-
 
 def generate_trace(
     path: str,

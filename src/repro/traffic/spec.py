@@ -292,12 +292,12 @@ def spec_from_legacy(
     hot_port: int = 0,
     p_hot: float = 0.7,
 ) -> TrafficSpec:
-    """The deprecated flat WorkloadSpec kwargs, as a TrafficSpec.
+    """The flat WorkloadSpec kwargs, as a TrafficSpec.
 
-    This is the compat shim: old-style workloads map onto the exact
-    spec their kwargs describe, and the build factory routes that spec
-    through the historical per-engine constructors, so old kwargs and
-    the equivalent explicit spec are bit-identical by construction.
+    The kwargs are shorthand for a saturated fixed-size workload: they
+    map onto the exact spec they describe, and the engines only ever see
+    that spec, so old kwargs and the explicit spec are bit-identical by
+    construction.
     """
     return TrafficSpec(
         pattern=PatternSpec(

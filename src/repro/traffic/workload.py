@@ -1,59 +1,21 @@
-"""Workload: pattern + sizes + arrivals, and adapters for the simulators.
+"""Real packets for the router models.
 
-:class:`Workload` is the one object experiments configure;
-:func:`fabric_source` adapts it to the quantum-level
-:class:`~repro.core.fabricsim.FabricSimulator`, and
-:class:`PacketFactory` mints real :class:`~repro.ip.packet.IPv4Packet`
-objects (with addresses that the routing table resolves back to the
-intended output port) for the full router and Click models.
+:class:`PacketFactory` mints :class:`~repro.ip.packet.IPv4Packet`
+objects, with addresses that the routing table resolves back to the
+intended output port, for the full router and Click models.  The
+destination and size of each packet come from a
+:class:`~repro.traffic.model.TrafficModel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.ip.addr import ADDR_BITS
 from repro.ip.packet import IPv4Packet
-from repro.raw import costs
-from repro.traffic.arrivals import ArrivalProcess
-from repro.traffic.patterns import DestinationPattern
-from repro.traffic.sizes import SizeDistribution
-
-
-@dataclass
-class Workload:
-    """A complete traffic specification for an N-port router."""
-
-    pattern: DestinationPattern
-    sizes: SizeDistribution
-    arrivals: ArrivalProcess
-
-    @property
-    def num_ports(self) -> int:
-        return self.pattern.n
-
-    def next_packet(self, port: int) -> Optional[Tuple[int, int]]:
-        """(destination port, size bytes) or None if no arrival."""
-        if not self.arrivals.offers(port):
-            return None
-        return self.pattern.next_dest(port), self.sizes.next_size()
-
-
-def fabric_source(workload: Workload):
-    """Adapt a workload to the fabric simulator's PortSource protocol
-    (destinations + word counts; no packet objects on this fast path)."""
-
-    def source(port: int) -> Optional[Tuple[int, int]]:
-        pkt = workload.next_packet(port)
-        if pkt is None:
-            return None
-        dest, nbytes = pkt
-        return dest, costs.bytes_to_words(nbytes)
-
-    return source
+from repro.traffic.model import TrafficModel
 
 
 class PacketFactory:
@@ -87,8 +49,9 @@ class PacketFactory:
         pkt.output_port = output_port
         return pkt
 
-    def from_workload(self, workload: Workload, port: int) -> Optional[IPv4Packet]:
-        drawn = workload.next_packet(port)
+    def from_workload(self, model: TrafficModel, port: int) -> Optional[IPv4Packet]:
+        """The next packet ``model`` offers at ``port`` (None for no arrival)."""
+        drawn = model.next_packet(port)
         if drawn is None:
             return None
         dest, nbytes = drawn

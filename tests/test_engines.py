@@ -150,6 +150,14 @@ class TestRunResultSchema:
         with pytest.raises(ValueError):
             engine.run(WorkloadSpec(traffic="bernoulli"))
 
+    def test_wordlevel_rejects_warmup_covering_the_run(self):
+        engine = WordLevelEngine(SimConfig(fidelity="wordlevel"))
+        # The default 20,000-cycle warmup would leave nothing to measure.
+        with pytest.raises(ValueError, match="warmup_cycles=20000.*cycles=15000"):
+            engine.run(WorkloadSpec(cycles=15_000))
+        result = engine.run(WorkloadSpec(cycles=20_001, warmup_cycles=20_000))
+        assert result.cycles == 1
+
     def test_wordlevel_hotspot_now_runs(self):
         # Historically raised; the unified traffic factory lifted it.
         result = WordLevelEngine(SimConfig(fidelity="wordlevel")).run(

@@ -8,7 +8,6 @@ FabricStats fields, same clock and token state.
 
 import pathlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +33,11 @@ from repro.core.token import RotatingToken
 from repro.engines import WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
 from repro.telemetry import runtime
-from repro.traffic.build import fabric_source_for_shard, shard_source
+from repro.traffic.build import (
+    fabric_source,
+    fabric_source_for_shard,
+    shard_source,
+)
 from repro.traffic.spec import PRESETS, spec_from_legacy
 
 EXAMPLE_TRACE = str(
@@ -86,8 +89,8 @@ def _traffic_source(spec, seed: int, ports: int = 4):
 
 #: Snapshot/resume workloads: id -> (ports, quanta N, snapshot quantum k,
 #: source factory).  Every TrafficSpec preset, the example trace, and a
-#: legacy-trio spec forced onto the counter model (the space path's
-#: build) ride along with the two hand-rolled fabric sources.
+#: flat-kwargs uniform workload built by the fabric engine's default
+#: path ride along with the two hand-rolled fabric sources.
 RESUME_CASES = {
     "permutation": (
         8, 400, 100, lambda: saturated_permutation(256, shift=3, n=8)
@@ -102,10 +105,11 @@ RESUME_CASES = {
         for name in PRESETS
     },
     "trace_csv": (4, 300, 150, lambda: _traffic_source(EXAMPLE_TRACE, seed=0)),
-    "legacy_uniform": (
+    "kwargs_uniform": (
         4, 320, 160,
-        lambda: _traffic_source(
-            spec_from_legacy(pattern="uniform", packet_bytes=512), seed=2
+        lambda: fabric_source(
+            spec_from_legacy(pattern="uniform", packet_bytes=512),
+            SimConfig(seed=2),
         ),
     ),
 }
@@ -457,17 +461,15 @@ class TestSnapshotRestore:
 
 class TestSourceGuards:
     def test_saturated_uniform_rejects_self_only_ring(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            saturated_uniform(64, rng, n=1, exclude_self=True)
+            saturated_uniform(64, seed=0, n=1, exclude_self=True)
 
     def test_counter_uniform_rejects_self_only_ring(self):
         with pytest.raises(ValueError):
             CounterUniformSource(64, seed=0, n=1, exclude_self=True)
 
     def test_n1_allowed_without_exclusion(self):
-        rng = np.random.default_rng(0)
-        source = saturated_uniform(64, rng, n=1, exclude_self=False)
+        source = CounterUniformSource(64, seed=0, n=1, exclude_self=False)
         assert source(0) == (0, 64)
 
 

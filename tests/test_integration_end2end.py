@@ -12,16 +12,20 @@ import pytest
 from repro.ip.addr import Prefix, random_prefixes
 from repro.ip.lookup import RoutingTable
 from repro.ip.packet import IPv4Packet
+from repro.config import SimConfig
 from repro.router import RawRouter
 from repro.traffic import (
-    BurstyDestinations,
-    FixedSize,
-    IMix,
     PacketFactory,
-    Saturated,
-    UniformDestinations,
-    Workload,
+    PatternSpec,
+    SizeSpec,
+    SpecModel,
+    TrafficSpec,
+    spec_from_legacy,
 )
+
+
+def _traffic(pattern, size, seed=0, **kwargs):
+    return SpecModel(spec_from_legacy(pattern, size, **kwargs), n=4, seed=seed)
 
 
 class TestRealPrefixTable:
@@ -47,9 +51,7 @@ class TestRealPrefixTable:
             return pkt
 
         factory.make = make
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True), FixedSize(256), Saturated()
-        )
+        workload = _traffic("uniform", 256)
         router.attach_saturated(workload, factory)
         router.run(max_cycles=60_000)
         done = [p for p in minted if p.departure_cycle >= 0]
@@ -82,9 +84,7 @@ class TestRealPrefixTable:
             return pkt
 
         factory.make = make
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True), FixedSize(128), Saturated()
-        )
+        workload = _traffic("uniform", 128, seed=1)
         router.attach_saturated(workload, factory)
         router.run(max_cycles=40_000)
         done = [p for p in minted if p.departure_cycle >= 0]
@@ -99,9 +99,11 @@ class TestMixedTraffic:
         test; conservation and monotone timestamps must survive."""
         rng = np.random.default_rng(2)
         router = RawRouter(warmup_cycles=5_000)
-        workload = Workload(
-            BurstyDestinations(4, rng, mean_burst=6.0), IMix(rng), Saturated()
+        spec = TrafficSpec(
+            pattern=PatternSpec(kind="bursty", mean_burst=6.0),
+            sizes=SizeSpec(kind="imix"),
         )
+        workload = SpecModel(spec, n=4, seed=2)
         router.attach_saturated(workload, PacketFactory(4, rng))
         res = router.run(max_cycles=150_000)
         assert res.packets > 200
@@ -125,11 +127,7 @@ class TestMixedTraffic:
             return pkt
 
         factory.make = make
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(4096),
-            Saturated(),
-        )
+        workload = _traffic("uniform", 4096, seed=3)
         router.attach_saturated(workload, factory)
         router.run(max_cycles=120_000)
         done = [(p, pay) for p, pay in minted if p.departure_cycle >= 0]
@@ -145,16 +143,17 @@ class TestEnginesAgree:
     def test_wordlevel_vs_phase_peak(self, size):
         """Both fidelities within a 25% band at the Fig 7-1 endpoints
         (word-level carries extra, documented, serialization)."""
-        from repro.router.wordlevel import WordLevelRouter, permutation_source
-        from repro.traffic import FixedPermutation
+        from repro.router.wordlevel import WordLevelRouter
+        from repro.traffic import build_wordlevel_source
 
         rng = np.random.default_rng(4)
         phase = RawRouter(warmup_cycles=10_000)
-        workload = Workload(
-            FixedPermutation.shift(4, 2), FixedSize(size), Saturated()
+        phase.attach_saturated(
+            _traffic("permutation", size), PacketFactory(4, rng)
         )
-        phase.attach_saturated(workload, PacketFactory(4, rng))
         phase_gbps = phase.run(max_cycles=100_000).gbps
-        word = WordLevelRouter(permutation_source(size))
+        word = WordLevelRouter(
+            build_wordlevel_source(spec_from_legacy("permutation", size), SimConfig())
+        )
         word_gbps = word.run(until_cycles=30_000, warmup_cycles=8_000).gbps
         assert word_gbps == pytest.approx(phase_gbps, rel=0.25)

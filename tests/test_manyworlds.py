@@ -1,13 +1,13 @@
 """The many-worlds engine's correctness contract.
 
 The vectorized engine (`repro.parallel.manyworlds`) promises that world
-0 is *bit-identical* to the scalar fabric engine with counter-based
-sources, for every supported configuration -- not approximately equal,
-identical in every counter.  These tests pin that contract across ring
-sizes, traffic families and quantum lengths, pin the batch allocation
-rule to the scalar `CompiledAllocator.grants`, pin `VecCounterUniform`
-to the `zlib.crc32`-hashed scalar source, and check the reduction
-(envelope) statistics against plain numpy over independent scalar runs.
+0 is *bit-identical* to the scalar fabric engine (`run_config`), for
+every supported configuration -- not approximately equal, identical in
+every counter.  These tests pin that contract across ring sizes,
+traffic families (flat-kwarg workloads included) and quantum lengths,
+pin the batch allocation rule to the scalar `CompiledAllocator.grants`,
+and check the reduction (envelope) statistics against plain numpy over
+independent scalar runs.
 """
 
 import warnings
@@ -19,12 +19,10 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.core.allocator import Allocator, CompiledAllocator
-from repro.core.fabricsim import CounterUniformSource
 from repro.core.ring import RingGeometry
-from repro.engines import RunResult, WorkloadSpec
+from repro.engines import RunResult, WorkloadSpec, run_config
 from repro.parallel.manyworlds import (
     ManyWorldsResult,
-    VecCounterUniform,
     envelope,
     run_scalar_world,
     run_worlds,
@@ -64,7 +62,7 @@ def _assert_worlds_match_scalar(mw: ManyWorldsResult, config, workload,
 def test_world0_bit_identical_to_scalar(ports, traffic, quanta, seed):
     config = SimConfig(seed=seed, ports=ports)
     if traffic == "uniform":
-        # Not a preset: the legacy flat-kwargs uniform pattern.
+        # Not a preset: the flat-kwargs uniform pattern.
         workload = WorkloadSpec(pattern="uniform", quanta=quanta)
     else:
         workload = WorkloadSpec(traffic=traffic, quanta=quanta)
@@ -185,31 +183,39 @@ def test_batch_grants_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# VecCounterUniform vs the zlib.crc32 scalar source.
+# World 0 == the stock engine (run_config), flat-kwarg workloads included.
 # ---------------------------------------------------------------------------
+def _assert_world0_is_run_config(config, workload):
+    vec = run_worlds(config, workload, 2).stats[0]
+    ref = run_config(config, workload)
+    assert vec.cycles == ref.cycles
+    assert vec.delivered_packets == ref.delivered_packets
+    assert vec.delivered_words == ref.delivered_words
+    assert list(vec.per_port_packets) == ref.per_port_packets
+    assert vec.quanta == ref.extra["quanta"]
+    assert vec.idle_quanta == ref.extra["idle_quanta"]
+    assert vec.blocked_events == ref.extra["blocked_events"]
+    assert vec.gbps == ref.gbps
+
+
+@pytest.mark.parametrize("pattern", ["uniform", "hotspot"])
+def test_world0_equals_run_config_for_flat_kwargs(pattern):
+    _assert_world0_is_run_config(
+        SimConfig(seed=5),
+        WorkloadSpec(pattern=pattern, packet_bytes=256, quanta=400),
+    )
+
+
 @given(
-    seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1),
-                   min_size=1, max_size=5),
-    n=st.sampled_from([2, 4, 8]),
-    exclude_self=st.booleans(),
+    pattern=st.sampled_from(["uniform", "hotspot"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-@settings(max_examples=25, deadline=None)
-def test_vec_counter_uniform_matches_scalar_source(seeds, n, exclude_self):
-    vec = VecCounterUniform(256, seeds, n=n, exclude_self=exclude_self)
-    scalars = [
-        CounterUniformSource(256, s, n=n, exclude_self=exclude_self)
-        for s in seeds
-    ]
-    for _ in range(8):
-        for p in range(n):
-            dest = vec.draw_col(p, np.ones(len(seeds), dtype=bool))
-            for w, src in enumerate(scalars):
-                d_ref, words = src(p)
-                assert int(dest[w]) == d_ref
-                assert words == 256
-    # Draw counters advanced identically (the shard-protocol state).
-    for w, src in enumerate(scalars):
-        assert tuple(int(v) for v in vec._draws[w]) == src.state()
+@settings(max_examples=4, deadline=None)
+def test_world0_equals_run_config_any_seed(pattern, seed):
+    _assert_world0_is_run_config(
+        SimConfig(seed=seed),
+        WorkloadSpec(pattern=pattern, packet_bytes=256, quanta=400),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,9 @@ def test_router_pipeline_never_beats_fabric(words, shift, seed):
     exceed the bare fabric's rate -- pipelines add stages, not bandwidth."""
     from repro.router.router import RawRouter
     from repro.traffic import (
-        FixedPermutation,
-        FixedSize,
         PacketFactory,
-        Saturated,
-        Workload,
+        SpecModel,
+        spec_from_legacy,
     )
 
     size_bytes = words * 4
@@ -55,7 +53,9 @@ def test_router_pipeline_never_beats_fabric(words, shift, seed):
     rng = np.random.default_rng(seed)
     router = RawRouter(warmup_cycles=10_000)
     router.attach_saturated(
-        Workload(FixedPermutation.shift(4, shift), FixedSize(size_bytes), Saturated()),
+        SpecModel(
+            spec_from_legacy("permutation", size_bytes, shift=shift), n=4
+        ),
         PacketFactory(4, rng),
     )
     full = router.run(max_cycles=80_000)
@@ -91,10 +91,9 @@ def test_clos_conserves_packets(seed, n):
     from repro.core.fabricsim import saturated_uniform
 
     k = int(round(n ** 0.5))
-    rng = np.random.default_rng(seed)
     clos = ClosFabric(k=k)
     stats = clos.run(
-        saturated_uniform(32, rng, n=n, exclude_self=True),
+        saturated_uniform(32, seed, n=n, exclude_self=True),
         quanta=150,
         warmup_quanta=15,
     )

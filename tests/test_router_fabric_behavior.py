@@ -5,14 +5,11 @@ import pytest
 
 from repro.core.token import WeightedToken
 from repro.router.router import RawRouter
-from repro.traffic import (
-    FixedPermutation,
-    FixedSize,
-    HotspotDestinations,
-    PacketFactory,
-    Saturated,
-    Workload,
-)
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
+
+
+def _traffic(pattern, size, seed=0, **kwargs):
+    return SpecModel(spec_from_legacy(pattern, size, **kwargs), n=4, seed=seed)
 
 
 class TestIdleParking:
@@ -21,11 +18,8 @@ class TestIdleParking:
         fabric parks instead of spinning idle quanta forever."""
         rng = np.random.default_rng(0)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            FixedPermutation.shift(4, 1), FixedSize(256), Saturated()
-        )
         sources = router.attach_linecards(
-            workload, PacketFactory(4, rng), offered_load=0.5, rng=rng,
+            _traffic("permutation", 256, shift=1), PacketFactory(4, rng), offered_load=0.5, rng=rng,
             packets_per_port=25,
         )
         res = router.run(target_packets=100)
@@ -41,17 +35,14 @@ class TestIdleParking:
         rng = np.random.default_rng(1)
         router = RawRouter(warmup_cycles=0)
 
-        calls = {"n": 0}
-
         class OnePacketLate:
-            n = 4
+            """A minimal traffic model: 64 B packets to the next port."""
 
-            def next_dest(self, port):
-                return (port + 1) % 4
+            def next_packet(self, port):
+                return (port + 1) % 4, 64
 
-        workload = Workload(OnePacketLate(), FixedSize(64), Saturated())
         sources = router.attach_linecards(
-            workload, PacketFactory(4, rng), offered_load=0.01, rng=rng,
+            OnePacketLate(), PacketFactory(4, rng), offered_load=0.01, rng=rng,
             packets_per_port=3,
         )
         res = router.run(target_packets=12, chunk=50_000)
@@ -65,11 +56,7 @@ class TestOutputBlocking:
         arrives exactly once."""
         rng = np.random.default_rng(2)
         router = RawRouter(warmup_cycles=0, egress_queue_frags=1)
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=2, p_hot=1.0),
-            FixedSize(1024),
-            Saturated(),
-        )
+        workload = _traffic("hotspot", 1024, seed=2, hot_port=2, p_hot=1.0)
         router.attach_saturated(workload, PacketFactory(4, rng))
         res = router.run(max_cycles=150_000)
         assert res.packets > 50
@@ -82,11 +69,7 @@ class TestWeightedTokenPlumbing:
         rng = np.random.default_rng(3)
         token = WeightedToken([7, 1, 1, 1])
         router = RawRouter(token=token, warmup_cycles=0)
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=0, p_hot=1.0),
-            FixedSize(128),
-            Saturated(),
-        )
+        workload = _traffic("hotspot", 128, seed=3, hot_port=0, p_hot=1.0)
         router.attach_saturated(workload, PacketFactory(4, rng))
         router.run(max_cycles=120_000)
         shares = router.stats.input_share()
@@ -98,11 +81,7 @@ class TestGrantAccounting:
     def test_histogram_and_blocked_counters(self):
         rng = np.random.default_rng(4)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=0, p_hot=1.0),
-            FixedSize(64),
-            Saturated(),
-        )
+        workload = _traffic("hotspot", 64, seed=4, hot_port=0, p_hot=1.0)
         router.attach_saturated(workload, PacketFactory(4, rng))
         router.run(max_cycles=60_000)
         stats = router.stats

@@ -7,24 +7,17 @@ from repro.core.compute import XorCipher
 from repro.core.token import WeightedToken
 from repro.ip.lookup import RoutingTable
 from repro.router import RawRouter
-from repro.traffic import (
-    FixedPermutation,
-    FixedSize,
-    HotspotDestinations,
-    PacketFactory,
-    Saturated,
-    UniformDestinations,
-    Workload,
-)
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
 
 
-def saturated_router(pattern=None, size=1024, seed=0, **kw):
+def _traffic(pattern, size, n=4, seed=0, **kwargs):
+    return SpecModel(spec_from_legacy(pattern, size, **kwargs), n=n, seed=seed)
+
+
+def saturated_router(size=1024, seed=0, **kw):
     rng = np.random.default_rng(seed)
     router = RawRouter(**kw)
-    workload = Workload(
-        pattern or FixedPermutation.shift(4, 2), FixedSize(size), Saturated()
-    )
-    router.attach_saturated(workload, PacketFactory(4, rng))
+    router.attach_saturated(_traffic("permutation", size), PacketFactory(4, rng))
     return router
 
 
@@ -65,11 +58,7 @@ class TestConservationAndCorrectness:
         says -- the traffic intent survives lookup and switching."""
         rng = np.random.default_rng(1)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(256),
-            Saturated(),
-        )
+        workload = _traffic("uniform", 256, seed=1)
         factory = PacketFactory(4, rng)
         delivered = []
         real_make = factory.make
@@ -114,7 +103,7 @@ class TestDropPaths:
     def test_ttl_expired_dropped(self):
         rng = np.random.default_rng(2)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(FixedPermutation.shift(4, 1), FixedSize(64), Saturated())
+        workload = _traffic("permutation", 64, shift=1)
         factory = PacketFactory(4, rng)
         real_make = factory.make
         factory.make = lambda i, o, s: (
@@ -128,7 +117,7 @@ class TestDropPaths:
     def test_bad_checksum_dropped(self):
         rng = np.random.default_rng(2)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(FixedPermutation.shift(4, 1), FixedSize(64), Saturated())
+        workload = _traffic("permutation", 64, shift=1)
         factory = PacketFactory(4, rng)
         real_make = factory.make
 
@@ -148,13 +137,9 @@ class TestLineCards:
     def test_light_load_lossless(self):
         rng = np.random.default_rng(3)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(256),
-            Saturated(),
-        )
         sources = router.attach_linecards(
-            workload, PacketFactory(4, rng), offered_load=0.3, rng=rng,
+            _traffic("uniform", 256, seed=3), PacketFactory(4, rng),
+            offered_load=0.3, rng=rng,
             packets_per_port=100,
         )
         res = router.run(target_packets=390)
@@ -164,11 +149,7 @@ class TestLineCards:
     def test_overload_drops_at_linecard(self):
         rng = np.random.default_rng(4)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=0, p_hot=1.0),
-            FixedSize(1024),
-            Saturated(),
-        )
+        workload = _traffic("hotspot", 1024, seed=4, hot_port=0, p_hot=1.0)
         sources = router.attach_linecards(
             workload, PacketFactory(4, rng), offered_load=0.9, rng=rng,
             packets_per_port=150, line_buffer_packets=4,
@@ -182,7 +163,7 @@ class TestLineCards:
         rng = np.random.default_rng(0)
         with pytest.raises(RuntimeError):
             router.attach_saturated(
-                Workload(FixedPermutation.shift(4, 1), FixedSize(64), Saturated()),
+                _traffic("permutation", 64, shift=1),
                 PacketFactory(4, rng),
             )
 
@@ -203,11 +184,7 @@ class TestExtensions:
         router = RawRouter(
             token=WeightedToken([4, 1, 1, 1]), warmup_cycles=10_000
         )
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=0, p_hot=1.0),
-            FixedSize(256),
-            Saturated(),
-        )
+        workload = _traffic("hotspot", 256, seed=5, hot_port=0, p_hot=1.0)
         router.attach_saturated(workload, PacketFactory(4, rng))
         router.run(max_cycles=400_000)
         share = router.stats.input_share()
@@ -253,9 +230,7 @@ class TestExtensions:
         (each flow holds one ring segment)."""
         rng = np.random.default_rng(6)
         router = RawRouter(num_ports=8, warmup_cycles=10_000)
-        workload = Workload(
-            FixedPermutation.shift(8, 1), FixedSize(1024), Saturated()
-        )
+        workload = _traffic("permutation", 1024, n=8, shift=1)
         router.attach_saturated(workload, PacketFactory(8, rng))
         res = router.run(max_cycles=200_000)
         assert res.gbps > 45  # ~2x the 4-port fabric
@@ -266,9 +241,7 @@ class TestExtensions:
         -- the scaling caveat the thesis defers to future work."""
         rng = np.random.default_rng(6)
         router = RawRouter(num_ports=8, warmup_cycles=10_000)
-        workload = Workload(
-            FixedPermutation.shift(8, 4), FixedSize(1024), Saturated()
-        )
+        workload = _traffic("permutation", 1024, n=8, shift=4)
         router.attach_saturated(workload, PacketFactory(8, rng))
         res = router.run(max_cycles=200_000)
         assert res.gbps < 35

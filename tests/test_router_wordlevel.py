@@ -8,18 +8,28 @@ four Crossbar Processors independently compute the same schedule -- if
 they did not, words would misroute and the payload checks would fail).
 """
 
-import numpy as np
 import pytest
 
+from repro.config import SimConfig
 from repro.core.phases import quantum_cycles
 from repro.raw import costs
 from repro.raw.layout import CROSSBAR_RING, INGRESS_TILES
-from repro.router.wordlevel import (
-    WordLevelRouter,
-    permutation_source,
-    uniform_source,
-)
+from repro.router.wordlevel import WordLevelRouter
 from repro.sim.trace import Trace
+from repro.traffic.build import wordlevel_source
+from repro.traffic.spec import spec_from_legacy
+
+
+def permutation_source(packet_bytes):
+    return wordlevel_source(
+        spec_from_legacy("permutation", packet_bytes), SimConfig()
+    )
+
+
+def uniform_source(packet_bytes, seed):
+    return wordlevel_source(
+        spec_from_legacy("uniform", packet_bytes), SimConfig(seed=seed)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -82,15 +92,13 @@ class TestCycleCrossValidation:
 
 class TestUniformTraffic:
     def test_uniform_runs_and_delivers(self):
-        rng = np.random.default_rng(11)
-        router = WordLevelRouter(uniform_source(256, rng), verify_payloads=True)
+        router = WordLevelRouter(uniform_source(256, 11), verify_payloads=True)
         result = router.run(until_cycles=25_000, warmup_cycles=5_000)
         assert result.delivered_packets > 50
         assert router.payload_errors == 0
 
     def test_uniform_below_permutation(self):
-        rng = np.random.default_rng(11)
-        uni = WordLevelRouter(uniform_source(256, rng)).run(25_000, 5_000)
+        uni = WordLevelRouter(uniform_source(256, 11)).run(25_000, 5_000)
         perm = WordLevelRouter(permutation_source(256)).run(25_000, 5_000)
         assert uni.gbps < perm.gbps
 
@@ -98,8 +106,7 @@ class TestUniformTraffic:
 class TestTracing:
     def test_fig7_3_trace_shape(self):
         trace = Trace(4_000, 8_000)
-        rng = np.random.default_rng(7)
-        router = WordLevelRouter(uniform_source(64, rng), trace=trace)
+        router = WordLevelRouter(uniform_source(64, 7), trace=trace)
         result = router.run(until_cycles=8_000)
         summaries = result.utilization(4_000, 8_000)
         # Ingress tiles blocked on the crossbar (Fig 7-3's gray).

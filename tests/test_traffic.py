@@ -1,89 +1,81 @@
-"""Traffic generation: patterns, sizes, arrivals, workloads."""
+"""Traffic generation: the counter-based model's patterns and arrivals,
+sizes, the engine adapters, and packet minting."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.traffic.arrivals import (
-    Bernoulli,
-    CounterSlotArrivals,
-    OnOff,
-    Saturated,
-)
-from repro.traffic.patterns import (
-    BurstyDestinations,
-    FixedPermutation,
-    HotspotDestinations,
-    RotatingPermutation,
-    UniformDestinations,
-)
+from repro.config import CostModel
+from repro.traffic.arrivals import CounterSlotArrivals
+from repro.traffic.build import FabricModelSource
+from repro.traffic.model import SpecModel
 from repro.traffic.sizes import BimodalSizes, FixedSize, IMix, UniformSizes
-from repro.traffic.workload import PacketFactory, Workload, fabric_source
+from repro.traffic.spec import ArrivalSpec, PatternSpec, SizeSpec, TrafficSpec
+from repro.traffic.workload import PacketFactory
+
+
+def _model(n=4, seed=0, sizes=SizeSpec(), arrivals=ArrivalSpec(), **pattern):
+    spec = TrafficSpec(
+        pattern=PatternSpec(**pattern), sizes=sizes, arrivals=arrivals
+    )
+    return SpecModel(spec, n=n, seed=seed)
+
+
+def _dests(model, port, count):
+    return [model.next_packet(port)[0] for _ in range(count)]
 
 
 class TestPatterns:
     def test_fixed_permutation(self):
-        p = FixedPermutation([2, 3, 0, 1])
-        assert [p.next_dest(i) for i in range(4)] == [2, 3, 0, 1]
+        m = _model(kind="permutation", shift=2)
+        assert [m.next_packet(i)[0] for i in range(4)] == [2, 3, 0, 1]
 
     def test_shift_constructor(self):
-        p = FixedPermutation.shift(4, 2)
-        assert [p.next_dest(i) for i in range(4)] == [2, 3, 0, 1]
-
-    def test_non_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            FixedPermutation([0, 0, 1, 2])
+        m = _model(n=8, kind="permutation", shift=3)
+        for _ in range(3):
+            assert [m.next_packet(i)[0] for i in range(8)] == [
+                (i + 3) % 8 for i in range(8)
+            ]
+        assert m.deterministic
 
     def test_uniform_exclude_self(self):
-        rng = np.random.default_rng(0)
-        p = UniformDestinations(4, rng, exclude_self=True)
+        m = _model(seed=1, kind="uniform", exclude_self=True)
         for port in range(4):
-            for _ in range(200):
-                assert p.next_dest(port) != port
+            seen = _dests(m, port, 300)
+            assert port not in seen
+            assert set(seen) == set(range(4)) - {port}
 
     def test_uniform_covers_all_destinations(self):
-        rng = np.random.default_rng(0)
-        p = UniformDestinations(4, rng, exclude_self=False)
-        seen = {p.next_dest(1) for _ in range(300)}
-        assert seen == {0, 1, 2, 3}
-
-    def test_rotating_permutation_never_self(self):
-        p = RotatingPermutation(4)
-        for _ in range(20):
-            for port in range(4):
-                assert p.next_dest(port) != port
-
-    def test_rotating_is_conflict_free_each_round(self):
-        p = RotatingPermutation(4)
-        for _ in range(8):
-            dests = [p.next_dest(i) for i in range(4)]
-            assert sorted(dests) == [0, 1, 2, 3]
+        m = _model(kind="uniform", exclude_self=False)
+        assert set(_dests(m, 1, 300)) == {0, 1, 2, 3}
 
     def test_hotspot_bias(self):
-        rng = np.random.default_rng(1)
-        p = HotspotDestinations(4, rng, hot=2, p_hot=0.8)
-        hits = sum(p.next_dest(0) == 2 for _ in range(1000))
-        assert hits > 700
+        m = _model(seed=1, kind="hotspot", hot_port=2, p_hot=0.8)
+        dests = _dests(m, 0, 4000)
+        # The non-hot draws are uniform over all n ports, hot included.
+        expected = 0.8 + (1 - 0.8) / 4
+        assert dests.count(2) / len(dests) == pytest.approx(expected, abs=0.03)
 
     def test_hotspot_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            HotspotDestinations(4, rng, hot=9)
-        with pytest.raises(ValueError):
-            HotspotDestinations(4, rng, p_hot=1.5)
+        with pytest.raises(ValueError, match="out of range"):
+            _model(kind="hotspot", hot_port=9)
+        with pytest.raises(ValueError, match="p_hot"):
+            _model(kind="hotspot", p_hot=1.5)
 
     def test_bursty_produces_runs(self):
-        rng = np.random.default_rng(2)
-        p = BurstyDestinations(4, rng, mean_burst=16.0)
-        dests = [p.next_dest(0) for _ in range(400)]
-        repeats = sum(a == b for a, b in zip(dests, dests[1:]))
-        assert repeats > 300  # long runs dominate
+        n, mean_burst = 4, 16.0
+        m = _model(n=n, seed=2, kind="bursty", mean_burst=mean_burst)
+        dests = _dests(m, 0, 20_000)
+        changes = sum(a != b for a, b in zip(dests, dests[1:]))
+        # A new train keeps the old destination with probability
+        # 1/(n-1), so observed runs are mean_burst * (n-1)/(n-2) long.
+        mean_run = len(dests) / (changes + 1)
+        assert mean_run == pytest.approx(
+            mean_burst * (n - 1) / (n - 2), rel=0.1
+        )
 
     def test_bursty_never_self_when_excluded(self):
-        rng = np.random.default_rng(2)
-        p = BurstyDestinations(4, rng, exclude_self=True)
-        assert all(p.next_dest(3) != 3 for _ in range(300))
+        m = _model(seed=2, kind="bursty", exclude_self=True)
+        assert 3 not in _dests(m, 3, 300)
 
 
 class TestSizes:
@@ -124,49 +116,54 @@ class TestSizes:
         assert draws == {64, 1024}
 
 
+def _arrivals(model, port, polls):
+    return [model.next_packet(port) is not None for _ in range(polls)]
+
+
 class TestArrivals:
     def test_saturated(self):
-        a = Saturated()
-        assert a.offers(0) and a.load == 1.0
+        m = _model(kind="uniform")
+        assert all(_arrivals(m, 0, 100))
+        assert m.load == 1.0
 
     def test_bernoulli_rate(self):
-        rng = np.random.default_rng(0)
-        a = Bernoulli(0.3, rng)
-        rate = np.mean([a.offers(0) for _ in range(4000)])
-        assert rate == pytest.approx(0.3, abs=0.03)
+        m = _model(kind="uniform", arrivals=ArrivalSpec(kind="bernoulli", p=0.3))
+        assert np.mean(_arrivals(m, 0, 4000)) == pytest.approx(0.3, abs=0.03)
 
     def test_bernoulli_validation(self):
-        with pytest.raises(ValueError):
-            Bernoulli(1.5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="arrival p"):
+            ArrivalSpec(kind="bernoulli", p=1.5)
 
     def test_bernoulli_is_counter_replayable(self):
-        a = Bernoulli(0.4, seed=7)
-        head = [a.offers(1) for _ in range(50)]
+        bern = ArrivalSpec(kind="bernoulli", p=0.4)
+        a = _model(seed=7, kind="uniform", arrivals=bern)
+        head = [a.next_packet(1) for _ in range(50)]
         mark = a.state()
-        tail = [a.offers(1) for _ in range(50)]
-        b = Bernoulli(0.4, seed=7).restore(mark)
-        assert [b.offers(1) for _ in range(50)] == tail
+        tail = [a.next_packet(1) for _ in range(50)]
+        b = _model(seed=7, kind="uniform", arrivals=bern).restore(mark)
+        assert [b.next_packet(1) for _ in range(50)] == tail
         # Replaying from scratch reproduces the head too.
-        c = Bernoulli(0.4, seed=7)
-        assert [c.offers(1) for _ in range(50)] == head
+        c = _model(seed=7, kind="uniform", arrivals=bern)
+        assert [c.next_packet(1) for _ in range(50)] == head
 
     def test_bernoulli_ports_independent(self):
-        a = Bernoulli(0.5, seed=3)
-        p0 = [a.offers(0) for _ in range(200)]
-        b = Bernoulli(0.5, seed=3)
+        bern = ArrivalSpec(kind="bernoulli", p=0.5)
+        a = _model(seed=3, kind="uniform", arrivals=bern)
+        p0 = [a.next_packet(0) for _ in range(200)]
+        b = _model(seed=3, kind="uniform", arrivals=bern)
         # Interleaving draws on another port must not perturb port 0.
         p0_interleaved = []
         for _ in range(200):
-            b.offers(1)
-            p0_interleaved.append(b.offers(0))
+            b.next_packet(1)
+            p0_interleaved.append(b.next_packet(0))
         assert p0 == p0_interleaved
 
     def test_onoff_load_and_gaps(self):
-        a = OnOff(mean_on=8.0, mean_off=8.0, seed=1)
-        assert a.load == pytest.approx(0.5)
-        draws = [a.offers(0) for _ in range(4000)]
-        rate = np.mean(draws)
-        assert 0.3 < rate < 0.7
+        onoff = ArrivalSpec(kind="onoff", mean_on=8.0, mean_off=8.0)
+        assert onoff.load == pytest.approx(0.5)
+        m = _model(seed=1, kind="uniform", arrivals=onoff)
+        draws = _arrivals(m, 0, 8000)
+        assert np.mean(draws) == pytest.approx(onoff.load, abs=0.1)
         # On-off must produce runs of idle polls, unlike Bernoulli(0.5).
         longest_gap = cur = 0
         for d in draws:
@@ -175,19 +172,21 @@ class TestArrivals:
         assert longest_gap >= 8
 
     def test_onoff_state_restore(self):
-        a = OnOff(mean_on=4.0, mean_off=4.0, seed=5, heavy=True, alpha=1.5)
-        [a.offers(0) for _ in range(77)]
+        heavy = ArrivalSpec(
+            kind="onoff", mean_on=4.0, mean_off=4.0, heavy=True, alpha=1.5
+        )
+        a = _model(seed=5, kind="uniform", arrivals=heavy)
+        [a.next_packet(0) for _ in range(77)]
         mark = a.state()
-        tail = [a.offers(0) for _ in range(100)]
-        b = OnOff(mean_on=4.0, mean_off=4.0, seed=5, heavy=True, alpha=1.5)
-        b.restore(mark)
-        assert [b.offers(0) for _ in range(100)] == tail
+        tail = [a.next_packet(0) for _ in range(100)]
+        b = _model(seed=5, kind="uniform", arrivals=heavy).restore(mark)
+        assert [b.next_packet(0) for _ in range(100)] == tail
 
     def test_onoff_validation(self):
-        with pytest.raises(ValueError):
-            OnOff(mean_on=0.5)
-        with pytest.raises(ValueError):
-            OnOff(heavy=True, alpha=1.0)
+        with pytest.raises(ValueError, match="mean durations"):
+            ArrivalSpec(kind="onoff", mean_on=0.5)
+        with pytest.raises(ValueError, match="alpha > 1"):
+            ArrivalSpec(kind="onoff", heavy=True, alpha=1.0)
 
     def test_counter_slot_arrivals_restore(self):
         a = CounterSlotArrivals(4, seed=2)
@@ -200,23 +199,20 @@ class TestArrivals:
 
 class TestWorkload:
     def test_next_packet(self):
-        rng = np.random.default_rng(0)
-        w = Workload(FixedPermutation.shift(4, 1), FixedSize(256), Saturated())
-        assert w.next_packet(0) == (1, 256)
-        assert w.num_ports == 4
+        m = _model(kind="permutation", shift=1, sizes=SizeSpec(bytes=256))
+        assert m.next_packet(0) == (1, 256)
+        assert m.n == 4
 
     def test_fabric_source_converts_to_words(self):
-        w = Workload(FixedPermutation.shift(4, 1), FixedSize(256), Saturated())
-        src = fabric_source(w)
+        m = _model(kind="permutation", shift=1, sizes=SizeSpec(bytes=256))
+        src = FabricModelSource(m, CostModel.default())
         assert src(2) == (3, 64)
 
     def test_no_arrival_is_none(self):
-        rng = np.random.default_rng(0)
-        w = Workload(
-            FixedPermutation.shift(4, 1), FixedSize(64), Bernoulli(0.0, rng)
-        )
-        assert w.next_packet(0) is None
-        assert fabric_source(w)(0) is None
+        never = ArrivalSpec(kind="bernoulli", p=0.0)
+        m = _model(kind="permutation", arrivals=never)
+        assert m.next_packet(0) is None
+        assert FabricModelSource(m, CostModel.default())(0) is None
 
 
 class TestPacketFactory:
@@ -248,7 +244,7 @@ class TestPacketFactory:
     def test_from_workload(self):
         rng = np.random.default_rng(0)
         f = PacketFactory(4, rng)
-        w = Workload(FixedPermutation.shift(4, 2), FixedSize(128), Saturated())
-        pkt = f.from_workload(w, 1)
+        m = _model(kind="permutation", shift=2, sizes=SizeSpec(bytes=128))
+        pkt = f.from_workload(m, 1)
         assert pkt.output_port == 3
         assert pkt.total_length == 128
