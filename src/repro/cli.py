@@ -15,139 +15,145 @@ humans who want the tables.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
-from typing import Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
-from repro.experiments import (
-    ablations,
-    claims_ch2,
-    compute_ext,
-    fairness_qos,
-    fig5_1,
-    fig7_1,
-    fig7_3,
-    load_latency,
-    lookup_ext,
-    multicast_ext,
-    multichip,
-    resilience,
-    scaling,
-    table6_1,
-)
-
-#: name -> (description, full-budget runner, quick-budget runner)
-REGISTRY: Dict[str, Tuple[str, Callable, Callable]] = {
+#: name -> (description, module under ``repro.experiments``, function,
+#: full-budget kwargs, quick-budget kwargs).  Plain data: a module is
+#: imported only when one of its experiments runs, so ``list`` and every
+#: other subcommand start without loading the experiment harness.
+REGISTRY: Dict[str, Tuple[str, str, str, Dict[str, Any], Dict[str, Any]]] = {
     "fig7_1_peak": (
         "Fig 7-1 top: peak throughput vs packet size vs Click",
-        lambda: fig7_1.run_peak(quanta=2000, click_packets=2000),
-        lambda: fig7_1.run_peak(quanta=500, click_packets=400),
+        "fig7_1", "run_peak",
+        dict(quanta=2000, click_packets=2000),
+        dict(quanta=500, click_packets=400),
     ),
     "fig7_1_avg": (
         "Fig 7-1 bottom: average throughput (uniform traffic)",
-        lambda: fig7_1.run_average(quanta=5000, click_packets=2000),
-        lambda: fig7_1.run_average(quanta=1200, click_packets=400),
+        "fig7_1", "run_average",
+        dict(quanta=5000, click_packets=2000),
+        dict(quanta=1200, click_packets=400),
     ),
     "fig7_3": (
         "Fig 7-3: per-tile utilization timelines (word-level)",
-        fig7_3.run,
-        fig7_3.run,
+        "fig7_3", "run", {}, {},
     ),
     "fig5_1": (
         "Fig 5-1: the worked Rotating Crossbar example",
-        fig5_1.run,
-        fig5_1.run,
+        "fig5_1", "run", {}, {},
     ),
     "table6_1": (
         "Table 6.1 / ch.6: configuration space + minimization",
-        table6_1.run,
-        table6_1.run,
+        "table6_1", "run", {}, {},
     ),
     "abl_networks": (
         "Ablation: second static network (sections 5.3/8.1)",
-        lambda: ablations.run_second_network(quanta=3000),
-        lambda: ablations.run_second_network(quanta=800),
+        "ablations", "run_second_network",
+        dict(quanta=3000),
+        dict(quanta=800),
     ),
     "abl_quantum": (
         "Ablation: crossbar transfer-block size (section 4.3)",
-        lambda: ablations.run_quantum_size(quanta=3000),
-        lambda: ablations.run_quantum_size(quanta=800),
+        "ablations", "run_quantum_size",
+        dict(quanta=3000),
+        dict(quanta=800),
     ),
     "abl_pipelining": (
         "Ablation: header/body overlap (sections 5.2/6.5)",
-        lambda: ablations.run_pipelining(quanta=3000),
-        lambda: ablations.run_pipelining(quanta=800),
+        "ablations", "run_pipelining",
+        dict(quanta=3000),
+        dict(quanta=800),
     ),
     "hol_voq": (
         "Ch.2 claim: FIFO HOL limit vs VOQ/iSLIP vs OQ",
-        lambda: claims_ch2.run_hol_voq(slots=15000, warmup=1500),
-        lambda: claims_ch2.run_hol_voq(ports=(4, 16), slots=5000, warmup=500),
+        "claims_ch2", "run_hol_voq",
+        dict(slots=15000, warmup=1500),
+        dict(ports=(4, 16), slots=5000, warmup=500),
     ),
     "cells": (
         "Ch.2 claim: fixed cells vs variable-length packets",
-        lambda: claims_ch2.run_cells_vs_packets(slots=25000),
-        lambda: claims_ch2.run_cells_vs_packets(slots=8000),
+        "claims_ch2", "run_cells_vs_packets",
+        dict(slots=25000),
+        dict(slots=8000),
     ),
     "islip": (
         "iSLIP/PIM convergence with iterations",
-        lambda: claims_ch2.run_islip_iterations(slots=12000, warmup=1200),
-        lambda: claims_ch2.run_islip_iterations(slots=4000, warmup=400),
+        "claims_ch2", "run_islip_iterations",
+        dict(slots=12000, warmup=1200),
+        dict(slots=4000, warmup=400),
     ),
     "fairness": (
         "Section 5.4: starvation bound under a hotspot",
-        lambda: fairness_qos.run_fairness(quanta=4000),
-        lambda: fairness_qos.run_fairness(quanta=1200),
+        "fairness_qos", "run_fairness",
+        dict(quanta=4000),
+        dict(quanta=1200),
     ),
     "qos": (
         "Section 8.7: weighted-token bandwidth shares",
-        lambda: fairness_qos.run_qos(quanta=6000),
-        lambda: fairness_qos.run_qos(quanta=2000),
+        "fairness_qos", "run_qos",
+        dict(quanta=6000),
+        dict(quanta=2000),
     ),
     "multicast": (
         "Section 8.6: fabric multicast vs ingress replication",
-        lambda: multicast_ext.run(quanta=3000),
-        lambda: multicast_ext.run(quanta=1000),
+        "multicast_ext", "run",
+        dict(quanta=3000),
+        dict(quanta=1000),
     ),
     "scaling": (
         "Section 8.5: N-port scaling (neighbor vs antipodal), space "
         "Clos to N=64",
-        lambda: scaling.run(quanta=2000),
-        lambda: scaling.run(
-            port_counts=(4, 8), quanta=600, space_port_counts=(16,),
-            space_partitions=2,
-        ),
+        "scaling", "run",
+        dict(quanta=2000),
+        dict(port_counts=(4, 8), quanta=600, space_port_counts=(16,),
+             space_partitions=2),
     ),
     "multichip": (
         "Section 8.5: Clos of k-port crossbars vs one big ring "
         "(space-partitionable)",
-        lambda: multichip.run(quanta=2000),
-        lambda: multichip.run(quanta=500, partitions=2, latency=2),
+        "multichip", "run",
+        dict(quanta=2000),
+        dict(quanta=500, partitions=2, latency=2),
     ),
     "lookup": (
         "Section 8.2: route-lookup structures on a tile",
-        lambda: lookup_ext.run(table_sizes=(1000, 10000, 50000), lookups=2000),
-        lambda: lookup_ext.run(table_sizes=(1000,), lookups=600),
+        "lookup_ext", "run",
+        dict(table_sizes=(1000, 10000, 50000), lookups=2000),
+        dict(table_sizes=(1000,), lookups=600),
     ),
     "load_latency": (
         "Extension: latency vs offered load (edge-router curve)",
-        lambda: load_latency.run(packets_per_port=400),
-        lambda: load_latency.run(loads=(0.3, 0.9), packets_per_port=120),
+        "load_latency", "run",
+        dict(packets_per_port=400),
+        dict(loads=(0.3, 0.9), packets_per_port=120),
     ),
     "compute": (
         "Section 8.3: computation inside the switch fabric",
-        lambda: compute_ext.run(quanta=2000),
-        lambda: compute_ext.run(quanta=600),
+        "compute_ext", "run",
+        dict(quanta=2000),
+        dict(quanta=600),
     ),
     "resilience": (
         "Fault injection: MTTR, degraded goodput, drop taxonomy",
-        resilience.run,
-        resilience.run_quick,
+        "resilience", "run",
+        {},
+        dict(quanta=800, packets=600, worlds=64),
     ),
 }
 
 
+def _experiment(name: str, quick: bool) -> Tuple[Callable, Dict[str, Any]]:
+    """Import ``name``'s module; return its runner and budget kwargs."""
+    _, module, function, full, fast = REGISTRY[name]
+    mod = importlib.import_module(f"repro.experiments.{module}")
+    return getattr(mod, function), dict(fast if quick else full)
+
+
 def _cmd_list() -> int:
     width = max(len(name) for name in REGISTRY)
-    for name, (desc, _, _) in REGISTRY.items():
+    for name, (desc, *_) in REGISTRY.items():
         print(f"{name:<{width}}  {desc}")
     return 0
 
@@ -159,8 +165,8 @@ def _cmd_run(names, quick: bool) -> int:
         print("use `python -m repro list`", file=sys.stderr)
         return 2
     for name in names:
-        _, full, fast = REGISTRY[name]
-        result = (fast if quick else full)()
+        runner, kwargs = _experiment(name, quick)
+        result = runner(**kwargs)
         print(result.to_text())
         print()
     return 0
@@ -180,10 +186,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.experiments import resilience
-
-    runner = resilience.run_quick if args.quick else resilience.run
-    kwargs = dict(
+    runner, kwargs = _experiment("resilience", args.quick)
+    kwargs.update(
         seed=args.seed, out=args.out, plan=args.plan, telemetry=args.telemetry
     )
     if args.worlds is not None:

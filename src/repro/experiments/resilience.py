@@ -65,7 +65,6 @@ TOKEN_MTTR_BOUND_CYCLES = 5_000
 #: wall-clock (the vectorized engine makes 200 worlds cheaper than a
 #: handful of scalar runs).
 ENVELOPE_WORLDS = 200
-ENVELOPE_WORLDS_QUICK = 64
 
 
 def _baseline_envelope(
@@ -451,15 +450,6 @@ def _run_scenarios(
             json.dump(table, fh, indent=2)
             fh.write("\n")
     return result
-
-
-def run_quick(seed: int = 0, out: Optional[str] = DEFAULT_OUT,
-              plan: Optional[str] = None,
-              telemetry: bool = False,
-              worlds: int = ENVELOPE_WORLDS_QUICK) -> ExperimentResult:
-    """CI-smoke budget: same scenarios, ~5x shorter runs, fewer worlds."""
-    return run(quanta=800, packets=600, seed=seed, out=out, plan=plan,
-               telemetry=telemetry, worlds=worlds)
 
 
 def validate_results(path: str = DEFAULT_OUT) -> List[str]:

@@ -4,7 +4,7 @@ and resilience (MTTR / goodput under faults / drop taxonomy)."""
 from repro.metrics.throughput import ThroughputMeter
 from repro.metrics.latency import LatencyStats
 from repro.metrics.utilization import UtilizationSummary, summarize_trace
-from repro.metrics.stats import mean_ci, batch_means
+from repro.metrics.stats import mean_ci, batch_means, t_critical
 from repro.metrics.resilience import RecoveryRecord, ResilienceMetrics
 
 __all__ = [
@@ -14,6 +14,7 @@ __all__ = [
     "summarize_trace",
     "mean_ci",
     "batch_means",
+    "t_critical",
     "RecoveryRecord",
     "ResilienceMetrics",
 ]

@@ -57,6 +57,7 @@ from repro.core.phases import (
 )
 from repro.core.ring import RingGeometry
 from repro.engines import FabricEngine, RunResult, WorkloadSpec
+from repro.metrics.stats import t_critical
 from repro.seeds import spec_seed, world_seed
 from repro.traffic.model import (
     _S_ARRIVAL,
@@ -501,16 +502,17 @@ class _VecWorlds:
 def envelope(values: Sequence[float]) -> Dict[str, float]:
     """mean / stddev / 95% CI half-width / percentiles over world values.
 
-    ``ci95`` is the normal-approximation half-width ``1.96 * s / sqrt(K)``
-    (sample stddev, ddof=1); 0.0 for a single world."""
+    ``ci95`` is the Student-t half-width ``t_critical(0.95, K-1) * s /
+    sqrt(K)`` (sample stddev, ddof=1); 0.0 for a single world."""
     arr = np.asarray(values, dtype=np.float64)
     k = len(arr)
     std = float(arr.std(ddof=1)) if k > 1 else 0.0
+    ci95 = t_critical(0.95, k - 1) * std / math.sqrt(k) if k > 1 else 0.0
     return {
         "n": k,
         "mean": float(arr.mean()),
         "std": std,
-        "ci95": 1.96 * std / math.sqrt(k) if k > 1 else 0.0,
+        "ci95": ci95,
         "p50": float(np.percentile(arr, 50)),
         "p99": float(np.percentile(arr, 99)),
         "min": float(arr.min()),

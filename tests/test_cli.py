@@ -1,5 +1,8 @@
 """Command-line interface."""
 
+import importlib
+import inspect
+
 import pytest
 
 from repro.cli import REGISTRY, main
@@ -15,6 +18,15 @@ class TestList:
     def test_registry_covers_paper_artifacts(self):
         for required in ("fig7_1_peak", "fig7_1_avg", "fig7_3", "fig5_1", "table6_1"):
             assert required in REGISTRY
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_registry_entry_resolves(self, name):
+        """The lazy registry's strings name a real function, and both
+        budgets bind to its signature (checked without running it)."""
+        _, module, function, full, quick = REGISTRY[name]
+        runner = getattr(importlib.import_module(f"repro.experiments.{module}"), function)
+        for budget in (full, quick):
+            inspect.signature(runner).bind(**budget)
 
 
 class TestRun:

@@ -228,8 +228,9 @@ def test_envelope_matches_numpy_reference():
     assert env["n"] == len(vals)
     assert env["mean"] == pytest.approx(arr.mean())
     assert env["std"] == pytest.approx(arr.std(ddof=1))
+    # Student-t half-width: t_{0.975, 7} (scipy.stats.t.ppf), not 1.96.
     assert env["ci95"] == pytest.approx(
-        1.96 * arr.std(ddof=1) / np.sqrt(len(vals))
+        2.364624251592784 * arr.std(ddof=1) / np.sqrt(len(vals))
     )
     assert env["p50"] == pytest.approx(np.percentile(arr, 50))
     assert env["p99"] == pytest.approx(np.percentile(arr, 99))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics.latency import LatencyStats
-from repro.metrics.stats import batch_means, mean_ci
+from repro.metrics.stats import CONFIDENCES, batch_means, mean_ci, t_critical
 from repro.metrics.throughput import ThroughputMeter
 from repro.metrics.utilization import (
     BLOCKED_CODE,
@@ -135,3 +135,52 @@ class TestStats:
             batch_means([1, 2, 3], 10)
         with pytest.raises(ValueError):
             batch_means([1, 2, 3], 1)
+
+
+class TestTQuantile:
+    """The in-repo Student-t quantile against scipy as an oracle."""
+
+    DFS = list(range(1, 201)) + [250, 500, 1000, 10_000, 100_000, 10**7]
+
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_matches_scipy(self, confidence):
+        pytest.importorskip("scipy")
+        from scipy import stats
+
+        for df in self.DFS:
+            want = float(stats.t.ppf((1 + confidence) / 2, df))
+            assert t_critical(confidence, df) == pytest.approx(want, rel=1e-6), df
+
+    def test_supported_confidences(self):
+        assert CONFIDENCES == (0.90, 0.95, 0.99)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.975, 1.0])
+    def test_unsupported_confidence_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            t_critical(confidence, 10)
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci([1.0, 2.0, 3.0], confidence)
+        with pytest.raises(ValueError, match="confidence"):
+            mean_ci([1.0], confidence)
+
+    def test_df_must_be_positive(self):
+        with pytest.raises(ValueError, match="df"):
+            t_critical(0.95, 0)
+
+    def test_tends_to_normal_and_decreases(self):
+        for confidence, z in [(0.90, 1.6448536269514722),
+                              (0.95, 1.959963984540054),
+                              (0.99, 2.5758293035489004)]:
+            values = [t_critical(confidence, df) for df in range(1, 500)]
+            assert all(a > b for a, b in zip(values, values[1:]))
+            assert t_critical(confidence, 10**9) == pytest.approx(z, rel=1e-8)
+
+    def test_mean_ci_uses_student_t(self):
+        x = [3.0, 1.0, 4.0, 1.0, 5.0]
+        mean, half = mean_ci(x, 0.99)
+        sem = np.std(x, ddof=1) / np.sqrt(len(x))
+        assert mean == pytest.approx(2.8)
+        # t_{0.995, 4}: the 99% value, not the normal 2.576.
+        assert half == pytest.approx(4.604094871349992 * sem)
+        assert mean_ci(x, 0.90)[1] == pytest.approx(2.1318467863266495 * sem)
+
